@@ -259,13 +259,7 @@ def _merge_proc(ds, shard, partner, driver: str) -> Generator:
 
     # -- COMMIT (atomic range-map flip) -------------------------------------
     ledger.advance(op, ReshardPhase.COMMIT)
-    shard_idx = ds.shards.index(shard)
-    partner_idx = ds.shards.index(partner)
-    if shard_idx < partner_idx:
-        # Survivor absorbs a left donor's range (including BOTTOM).
-        partner.lo = shard.lo
-        ds._los[partner_idx] = shard.lo
-    ds._remove_shard(shard)
+    ds._absorb_shard(shard, partner)
     qs.merges += 1
     if m is not None:
         m.count("quicksand.merges.memory")

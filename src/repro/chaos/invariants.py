@@ -43,6 +43,23 @@ reassignment are skipped for that event (forcing a flush mid-instant
 would perturb the run) and re-checked after the flush lands, which is
 always before virtual time advances.
 
+**Change-driven checking.**  :meth:`InvariantChecker.check` is the full
+derivation of every invariant.  The per-event observer path runs it
+only after events that changed its inputs: every write to state
+invariants 1, 2, 4–7 and 9 read either fires a listener the checker
+subscribes to when attached (DRAM ledgers, the locator, heap
+footprints) or bumps a version counter (``NuRuntime.state_version``,
+``ReshardLedger.version``).  When the summed version is unchanged since
+the last derivation, which passed, those invariants are pure functions
+of unchanged inputs and must pass again; only what can move without a
+write is re-checked — the gate timeout (against the oldest open gate,
+O(1)), clone hygiene (8), and fluid sanity (3) for the schedulers that
+reassigned or changed capacity or demand since their last check.  The
+verdict, and the message of the first violation, is therefore the same
+the full derivation would give at every event.  Any new write to
+checked state must go through a versioned mutator;
+``tests/chaos/test_missed_hooks.py`` fails otherwise.
+
 On violation it raises :class:`InvariantViolation` from inside the event
 loop, failing the run at the first bad state — the chaos analogue of an
 assertion compiled into the kernel.
@@ -78,20 +95,60 @@ class InvariantChecker:
         self.stride = stride
         self.gate_timeout = gate_timeout
         self.checks = 0
+        #: Full derivations run (:meth:`check` calls, and observed
+        #: events whose inputs changed); ``checks`` minus this is the
+        #: number of events the gated path settled without one.
+        self.derivations = 0
         self.events_seen = 0
         self.oracle_comparisons = 0
-        # id(gate) -> first time the gate was seen closed.
+        # id(gate) -> first time the gate was seen closed.  Insertion
+        # order is time order, so the first entry is the oldest gate.
         self._gate_seen: Dict[int, float] = {}
         # pid -> highest incarnation ever observed (must never regress).
         self._incarnation_seen: Dict[int, int] = {}
         self._attached_to = None
+        # Mutations reported by the subscribed listeners.
+        self._hooked = 0
+        # Input version at the last passing full derivation (None:
+        # derive on the next observed event).
+        self._derived_at: Optional[int] = None
+        # Scheduler -> position in the full sweep's order; set when the
+        # listeners are subscribed (first attach).
+        self._sched_rank: Optional[Dict] = None
+        # Schedulers to re-check: reassigned, or capacity/demand moved.
+        self._sched_changed: set = set()
 
     # -- observer plumbing ---------------------------------------------------
     def attach(self, sim=None) -> "InvariantChecker":
         sim = sim or self.runtime.sim
+        if self._sched_rank is None:
+            self._subscribe()
+        self._derived_at = None  # state may have moved while detached
         sim.add_observer(self._on_event)
         self._attached_to = sim
         return self
+
+    def _subscribe(self) -> None:
+        runtime = self.runtime
+        for m in runtime.cluster.machines:
+            m.memory.add_listener(self._note_change)
+        runtime.locator.add_listener(self._note_change)
+        runtime.on_heap_change(self._note_change)
+        self._sched_rank = {}
+        note = self._sched_changed.add
+        for sched in self._schedulers():
+            self._sched_rank[sched] = len(self._sched_rank)
+            sched.add_observer(note)
+            sched.add_input_observer(note)
+
+    def _note_change(self, *_args) -> None:
+        self._hooked += 1
+
+    def _version(self) -> int:
+        # A sum of monotone counters moves iff one of them does.
+        runtime = self.runtime
+        return (runtime.state_version + runtime.reshard_ledger.version
+                + self._hooked)
 
     def detach(self) -> None:
         if self._attached_to is not None:
@@ -100,20 +157,40 @@ class InvariantChecker:
 
     def _on_event(self, _sim) -> None:
         self.events_seen += 1
-        if self.events_seen % self.stride == 0:
+        if self.events_seen % self.stride:
+            return
+        if self._version() != self._derived_at:
             self.check()
+            return
+        # Inputs of invariants 1, 2, 4-7 and 9 are unchanged since the
+        # last derivation, which passed.  Re-check only what moves
+        # without a write, in the full sweep's order so the first
+        # violation (and its message) is the one check() would report.
+        self.checks += 1
+        if self._sched_changed:
+            self._check_fluid(sorted(self._sched_changed,
+                                     key=self._sched_rank.__getitem__))
+        gates = self._gate_seen
+        if gates and (self.runtime.sim.now - next(iter(gates.values()))
+                      > self.gate_timeout):
+            self._check_gates()
+        self._check_clones()
 
     # -- the invariants ------------------------------------------------------
     def check(self) -> None:
-        """Run every invariant once; raises :class:`InvariantViolation`."""
+        """Run every invariant once (the full derivation, whatever
+        changed); raises :class:`InvariantViolation`."""
         self.checks += 1
+        self.derivations += 1
+        version = self._version()
         self._check_placement()
         self._check_memory_conservation()
-        self._check_fluid()
+        self._check_fluid(self._schedulers())
         self._check_gates()
         self._check_recovery()
         self._check_clones()
         self._check_resharding()
+        self._derived_at = version
 
     def _fail(self, what: str) -> None:
         raise InvariantViolation(
@@ -192,12 +269,13 @@ class InvariantChecker:
                 yield m.storage.read_bw
                 yield m.storage.write_bw
 
-    def _check_fluid(self) -> None:
-        for sched in self._schedulers():
+    def _check_fluid(self, schedulers) -> None:
+        for sched in schedulers:
             if sched._dirty:
                 # A coalesced reassignment is pending; it will flush
                 # before time advances and the next event re-checks.
                 continue
+            self._sched_changed.discard(sched)
             eps = _RATE_EPS * max(1.0, sched.capacity)
             total = 0.0
             hungriest: Optional[int] = None

@@ -108,6 +108,10 @@ class ChaosResult:
     reshard_aborts: int = 0
     autoscale_decisions: int = 0
     autoscale_sheds: int = 0
+    # Full invariant re-derivations among ``invariant_checks`` (events
+    # whose inputs changed, plus the final sweep).  A cost figure, not
+    # behaviour, so it stays out of digest().
+    invariant_derivations: int = 0
     trace_lines: List[str] = field(repr=False, default_factory=list)
     counters: List[str] = field(repr=False, default_factory=list)
 
@@ -141,7 +145,8 @@ class ChaosResult:
             f"({self.migrations_retried} retried, "
             f"{self.migrations_failed} failed)",
             f"  invariant checks  : {self.invariant_checks} "
-            f"(oracle comparisons: {self.oracle_comparisons})",
+            f"({self.invariant_derivations} full derivations, "
+            f"oracle comparisons: {self.oracle_comparisons})",
         ]
         if self.config.recovery_policy is not None:
             lines.append(
@@ -226,6 +231,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig()) -> ChaosResult:
         lost_calls=state.lost_calls,
         invariant_checks=checker.checks,
         oracle_comparisons=checker.oracle_comparisons,
+        invariant_derivations=checker.derivations,
         migrations=qs.runtime.migration.migrations_completed,
         migrations_retried=qs.runtime.migration.migrations_retried,
         migrations_failed=qs.runtime.migration.migrations_failed,

@@ -237,6 +237,7 @@ class MemoryProclet(ResourceProclet):
         """Rebuild objects and key range from an :meth:`ft_capture`
         snapshot (charges this incarnation's DRAM via install)."""
         self.range_lo, self.range_hi = state["range"]
+        self._runtime.state_version += 1
         self.install(list(state["items"]))
 
     def install(self, items: List[Tuple[Any, float, Any]]) -> float:

@@ -464,7 +464,7 @@ class Quicksand:
     @staticmethod
     def _block(proclet: ResourceProclet):
         """Block new invocations (reuses the migration gate mechanism)."""
-        proclet._status = ProcletStatus.MIGRATING
+        proclet._runtime.set_status(proclet, ProcletStatus.MIGRATING)
         proclet._migration_gate = proclet._runtime.sim.event()
         tr = proclet._runtime.sim.tracer
         if tr is not None:
@@ -475,7 +475,7 @@ class Quicksand:
 
     @staticmethod
     def _unblock(proclet: ResourceProclet, gate) -> None:
-        proclet._status = ProcletStatus.RUNNING
+        proclet._runtime.set_status(proclet, ProcletStatus.RUNNING)
         proclet._migration_gate = None
         gate.succeed()
         tr = proclet._runtime.sim.tracer

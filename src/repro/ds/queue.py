@@ -116,6 +116,7 @@ class ShardedQueue:
         ref = self.qs.spawn(proclet, machine,
                             name=f"{self.name}.q{len(self.shards)}")
         self.shards.append(ref)
+        self.qs.runtime.state_version += 1
         if self.qs.shard_controller is not None:
             self.qs.shard_controller.register(ref, self)
         return ref
@@ -318,6 +319,7 @@ class ShardedQueue:
         self.qs._unblock(new, new_gate)
         self.qs._unblock(src, gate)
         self.shards.append(new_ref)
+        self.qs.runtime.state_version += 1
         ledger.complete(op)
         if self.qs.shard_controller is not None:
             self.qs.shard_controller.register(new_ref, self)
@@ -405,6 +407,7 @@ class ShardedQueue:
         survivor.proclet.install_items(items)
         self.qs._unblock(src, gate)
         self.shards.remove(shard)
+        self.qs.runtime.state_version += 1
         if self.qs.shard_controller is not None:
             self.qs.shard_controller.unregister(shard)
         self.qs.runtime.destroy(shard)
@@ -441,6 +444,7 @@ class ShardedQueue:
                 self.qs.shard_controller.unregister(ref)
             self.qs.runtime.destroy(ref)
         self.shards.clear()
+        self.qs.runtime.state_version += 1
         self.qs.runtime.reshard_ledger.untrack(self)
 
     def __repr__(self) -> str:

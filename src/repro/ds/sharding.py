@@ -85,6 +85,7 @@ class ShardedBase:
         idx = self._bisect(shard.lo)
         self.shards.insert(idx, shard)
         self._los.insert(idx, shard.lo)
+        self.qs.runtime.state_version += 1
         self._index_charge(INDEX_ENTRY_BYTES)
         self._refresh_ranges()
         if self.qs.shard_controller is not None:
@@ -94,6 +95,7 @@ class ShardedBase:
         idx = self.shards.index(shard)
         del self.shards[idx]
         del self._los[idx]
+        self.qs.runtime.state_version += 1
         self._index_charge(-INDEX_ENTRY_BYTES)
         self._refresh_ranges()
         if self.qs.shard_controller is not None:
@@ -321,9 +323,13 @@ class ShardedBase:
             raise event.value
         if event.value is None:
             return  # merge was declined; leave the routing untouched
-        # The survivor absorbs the merged shard's range: when the merged
-        # shard sat to the survivor's LEFT (including the BOTTOM shard),
-        # the survivor inherits its lower bound.
+        self._absorb_shard(shard, partner)
+
+    def _absorb_shard(self, shard: Shard, partner: Shard) -> None:
+        """Retire merged-away *shard*; survivor *partner* absorbs its
+        range.  When the merged shard sat to the survivor's LEFT
+        (including the BOTTOM shard), the survivor inherits its lower
+        bound."""
         shard_idx = self.shards.index(shard)
         partner_idx = self.shards.index(partner)
         if shard_idx < partner_idx:

@@ -121,6 +121,7 @@ class RecoveryManager:
         self.convergence_errors: List[str] = []
 
         self.runtime.recovery = self
+        self.runtime.state_version += 1
         self.runtime.on_machine_failure(self._on_machine_failure)
         self.runtime.on_heap_change(self._on_heap_change)
         self.detector.on_confirm(self._on_confirmed_dead)
@@ -237,6 +238,7 @@ class RecoveryManager:
                 # write holds exactly the death-time state.
                 self._death_state[pid] = proclet.ft_capture()
         # Checkpoint bytes stored on the crashed machine are gone.
+        self.runtime.state_version += 1
         for pid, snap in list(self._snapshots.items()):
             if snap.peer is machine:
                 del self._snapshots[pid]
@@ -261,6 +263,7 @@ class RecoveryManager:
             if spec is None or not self.runtime.is_lost(pid):
                 continue  # unprotected meanwhile, or already recovered
             self._restoring.add(pid)
+            self.runtime.state_version += 1
             try:
                 yield from self._recover_one(pid, spec)
             except (MachineFailed, OutOfMemory, DeadProclet):
@@ -272,6 +275,7 @@ class RecoveryManager:
                     self.metrics.count("ft.failed_recoveries")
             finally:
                 self._restoring.discard(pid)
+                self.runtime.state_version += 1
                 self._poke_splitmerge(pid)
 
     def restoring(self, proclet_id: int) -> bool:
@@ -326,7 +330,7 @@ class RecoveryManager:
                 # snapshot install.  Blocked callers resume — and see
                 # restored state — once the gate opens.
                 gate = self.sim.event()
-                fresh._status = ProcletStatus.MIGRATING
+                self.runtime.set_status(fresh, ProcletStatus.MIGRATING)
                 fresh._migration_gate = gate
                 try:
                     yield self.runtime.fabric.transfer(
@@ -334,7 +338,7 @@ class RecoveryManager:
                         name=f"ft-restore:{name}")
                 finally:
                     if fresh._status is ProcletStatus.MIGRATING:
-                        fresh._status = ProcletStatus.RUNNING
+                        self.runtime.set_status(fresh, ProcletStatus.RUNNING)
                     if fresh._migration_gate is gate:
                         fresh._migration_gate = None
                     if not gate.triggered:
@@ -371,6 +375,7 @@ class RecoveryManager:
                        ops=len(spec.lineage.ops_for(pid)))
             if self.runtime._proclets.get(pid) is fresh:
                 self.convergence_errors.extend(spec.lineage.verify(fresh))
+                self.runtime.state_version += 1
             # else: this incarnation died mid-replay; the recovery that
             # replaced it owns the authoritative replay + verify.
         # RESTART: nothing to restore.
@@ -467,6 +472,7 @@ class RecoveryManager:
     def _check_convergence(self, fresh: Proclet, expected_bytes: float,
                            policy: RecoveryPolicy) -> None:
         if abs(fresh.heap_bytes - expected_bytes) > _BYTE_EPS:
+            self.runtime.state_version += 1
             self.convergence_errors.append(
                 f"{fresh.name}: {policy.value} recovery restored "
                 f"{fresh.heap_bytes:.1f} B, expected "
@@ -509,6 +515,7 @@ class RecoveryManager:
             return
         self._pending[pid] = (peer, nbytes, peer.incarnation)
         self.checkpoint_bytes_held += nbytes
+        self.runtime.state_version += 1
         tr = self.sim.tracer
         span = None
         if tr is not None:
@@ -526,6 +533,7 @@ class RecoveryManager:
             entry = self._pending.pop(pid, None)
             if entry is not None:
                 self.checkpoint_bytes_held -= nbytes
+                self.runtime.state_version += 1
                 if peer.up and peer.incarnation == entry[2]:
                     peer.memory.release(nbytes)
             if tr is not None:
@@ -542,6 +550,7 @@ class RecoveryManager:
         self._snapshots[pid] = _Snapshot(
             state=state, nbytes=nbytes, peer=peer,
             peer_incarnation=entry[2], taken_at=self.sim.now)
+        self.runtime.state_version += 1
         # _pending already added these bytes to the held total; storing
         # the snapshot keeps them held, so no adjustment here.
         if self.metrics is not None:
@@ -555,6 +564,7 @@ class RecoveryManager:
         if snap is None:
             return
         self.checkpoint_bytes_held -= snap.nbytes
+        self.runtime.state_version += 1
         if snap.valid():
             snap.peer.memory.release(snap.nbytes)
 

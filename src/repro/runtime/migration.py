@@ -141,6 +141,7 @@ class MigrationEngine:
         entry = self._inflight.pop(proclet.id, None)
         if entry is None:
             return
+        self.runtime.state_version += 1
         dst, nbytes, inc = entry
         if dst.up and dst.incarnation == inc:
             dst.memory.release(nbytes)
@@ -161,7 +162,7 @@ class MigrationEngine:
 
         self.migrations_started += 1
         t0 = sim.now
-        proclet._status = ProcletStatus.MIGRATING
+        self.runtime.set_status(proclet, ProcletStatus.MIGRATING)
         proclet._migration_gate = sim.event()
         # Heap size is snapshotted once: reserve, copy, and release must
         # agree on one number even if accounting shifts mid-flight.
@@ -195,7 +196,7 @@ class MigrationEngine:
             for item in paused:
                 if not item.active and not item.done.triggered:
                     src.cpu.sched.attach(item)
-            proclet._status = ProcletStatus.RUNNING
+            self.runtime.set_status(proclet, ProcletStatus.RUNNING)
             gate, proclet._migration_gate = proclet._migration_gate, None
             if gate is not None and not gate.triggered:
                 gate.succeed()
@@ -252,6 +253,7 @@ class MigrationEngine:
             backoff *= config.backoff_multiplier
 
         self._inflight[proclet.id] = (dst, nbytes, dst.incarnation)
+        self.runtime.state_version += 1
         try:
             yield sim.timeout(config.fixed_overhead)
             self._checkpoint(proclet, dst)
@@ -290,6 +292,7 @@ class MigrationEngine:
 
         # Commit: move accounting and location.
         self._inflight.pop(proclet.id, None)
+        self.runtime.state_version += 1
         src.memory.release(nbytes)
         proclet._machine = dst
         self.runtime.locator.move(proclet.id, dst)
@@ -299,7 +302,7 @@ class MigrationEngine:
             if not item.active and not item.done.triggered:
                 dst.cpu.sched.attach(item)
 
-        proclet._status = ProcletStatus.RUNNING
+        self.runtime.set_status(proclet, ProcletStatus.RUNNING)
         proclet.migrations += 1
         gate, proclet._migration_gate = proclet._migration_gate, None
         gate.succeed()

@@ -98,6 +98,11 @@ class ReshardLedger:
         self._next_op = 0
         self._active: Dict[int, ReshardOp] = {}
         self._structures: List[Any] = []
+        #: Monotone count of ledger writes (structures tracked, ops
+        #: begun, advanced or settled); the invariant checker reads it
+        #: to skip re-deriving reshard integrity after events that left
+        #: the ledger alone.
+        self.version = 0
         # Monotonic counters, read by metrics.record_autoscale_stats and
         # the chaos digest.
         self.counters: Dict[str, int] = {
@@ -109,12 +114,14 @@ class ReshardLedger:
     def track(self, structure: Any) -> None:
         if structure not in self._structures:
             self._structures.append(structure)
+            self.version += 1
 
     def untrack(self, structure: Any) -> None:
         try:
             self._structures.remove(structure)
         except ValueError:
-            pass
+            return
+        self.version += 1
 
     def structures(self) -> List[Any]:
         return list(self._structures)
@@ -129,11 +136,13 @@ class ReshardLedger:
         self._next_op += 1
         self._active[op.op_id] = op
         self.counters[f"{kind}_started"] += 1
+        self.version += 1
         return op
 
     def add_child(self, op: ReshardOp, child_id: int) -> None:
         """Record the spawned child (split) or survivor (merge)."""
         op.child_id = child_id
+        self.version += 1
 
     def advance(self, op: ReshardOp, phase: ReshardPhase) -> None:
         """Move *op* to a later active phase (PREPARE→COMMIT→CLEANUP)."""
@@ -141,6 +150,7 @@ class ReshardLedger:
             raise ValueError(f"{op!r} already settled")
         op.phase = phase
         op.phase_at = self.sim.now
+        self.version += 1
 
     def complete(self, op: ReshardOp) -> None:
         """Settle *op* as committed; idempotent once settled."""
@@ -150,6 +160,7 @@ class ReshardLedger:
         op.settled_at = self.sim.now
         self._active.pop(op.op_id, None)
         self.counters[f"{op.kind}_committed"] += 1
+        self.version += 1
 
     def abort(self, op: ReshardOp, reason: str) -> None:
         """Settle *op* as rolled back; idempotent once settled."""
@@ -160,6 +171,7 @@ class ReshardLedger:
         op.settled_at = self.sim.now
         self._active.pop(op.op_id, None)
         self.counters[f"{op.kind}_aborted"] += 1
+        self.version += 1
 
     # -- queries (invariant checker / metrics) ------------------------------
     def active_ops(self) -> List[ReshardOp]:

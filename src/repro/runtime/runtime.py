@@ -70,6 +70,15 @@ class NuRuntime:
             "losers_cancelled": 0, "hedges_fired": 0,
             "late_completions": 0,
         }
+        #: Monotone count of writes to state the chaos invariants read
+        #: that no listener reports: statuses (and with them the
+        #: registry, ``_lost`` and ``_incarnations``, only ever written
+        #: next to a :meth:`set_status` call), machine restores,
+        #: migration in-flight reservations, the recovery manager's
+        #: checkpoint ledger, and shard tables and ranges.  The
+        #: invariant checker re-derives only after events that moved
+        #: it (or a listener it subscribes to).
+        self.state_version = 0
         self._heap_listeners: List[Callable[[Proclet], None]] = []
         #: Called as fn(caller_proclet_id_or_None, callee_id, remote: bool)
         #: on every invocation — feeds the affinity tracker.
@@ -103,7 +112,7 @@ class NuRuntime:
         proclet._id = pid
         proclet._name = name or f"{type(proclet).__name__}#{pid}"
         proclet._machine = machine
-        proclet._status = ProcletStatus.RUNNING
+        self.set_status(proclet, ProcletStatus.RUNNING)
         self._proclets[pid] = proclet
         self.locator.place(pid, machine)
         if self.metrics is not None:
@@ -127,7 +136,7 @@ class NuRuntime:
         if proclet is None or proclet._status is ProcletStatus.DEAD:
             return  # destroy is idempotent
         proclet._machine.memory.release(proclet.footprint)
-        proclet._status = ProcletStatus.DEAD
+        self.set_status(proclet, ProcletStatus.DEAD)
         self.locator.remove(proclet.id)
         del self._proclets[proclet.id]
         if self.metrics is not None:
@@ -139,6 +148,13 @@ class NuRuntime:
                        track=f"machine:{proclet._machine.name}")
             tr.end(proclet._gate_span, outcome="destroyed")
             tr.end(proclet._span, outcome="destroyed")
+
+    def set_status(self, proclet: Proclet, status: ProcletStatus) -> None:
+        """Move *proclet* to *status* — the one writer of
+        ``Proclet._status`` after construction (versioned, see
+        :attr:`state_version`)."""
+        proclet._status = status
+        self.state_version += 1
 
     # -- lookup ----------------------------------------------------------------
     def get_proclet(self, proclet_id: int) -> Proclet:
@@ -205,7 +221,7 @@ class NuRuntime:
         proclet._id = proclet_id
         proclet._name = name or f"{type(proclet).__name__}#{proclet_id}"
         proclet._machine = machine
-        proclet._status = ProcletStatus.RUNNING
+        self.set_status(proclet, ProcletStatus.RUNNING)
         self._proclets[proclet_id] = proclet
         self.locator.place(proclet_id, machine)
         if self.metrics is not None:
@@ -453,7 +469,7 @@ class NuRuntime:
         exc = MachineFailed(f"machine {machine.name} failed")
         tr = self.sim.tracer
         for proclet in lost:
-            proclet._status = ProcletStatus.DEAD
+            self.set_status(proclet, ProcletStatus.DEAD)
             gate = proclet._migration_gate
             if gate is not None and not gate.triggered:
                 proclet._migration_gate = None
@@ -494,6 +510,7 @@ class NuRuntime:
         if machine.up:
             return
         machine.restore()
+        self.state_version += 1
         if self.metrics is not None:
             self.metrics.count("runtime.machine_restores")
         self.tracer.emit("failure", f"machine {machine.name} restored")

@@ -272,6 +272,7 @@ class FluidScheduler:
         self.served_integral = 0.0
         self.served_by_priority: Dict[int, float] = {}
         self._observers: List[Callable[["FluidScheduler"], None]] = []
+        self._input_observers: List[Callable[["FluidScheduler"], None]] = []
 
     # -- configuration ------------------------------------------------------
     @property
@@ -284,11 +285,20 @@ class FluidScheduler:
             raise ValueError(f"negative capacity: {capacity}")
         self._capacity = float(capacity)
         self._mark_dirty()
+        for fn in self._input_observers:
+            fn(self)
 
     def add_observer(self, fn: Callable[["FluidScheduler"], None]) -> None:
         """Call *fn(self)* after every rate reassignment that changed
         something (rates or the attached-item set)."""
         self._observers.append(fn)
+
+    def add_input_observer(self,
+                           fn: Callable[["FluidScheduler"], None]) -> None:
+        """Call *fn(self)* after every capacity or demand change — the
+        inputs a reassignment can absorb without moving a rate, so
+        :meth:`add_observer` alone may never report them."""
+        self._input_observers.append(fn)
 
     # -- submission ----------------------------------------------------------
     def submit(self, work: float, demand: float = 1.0, priority: int = 1,
@@ -397,6 +407,8 @@ class FluidScheduler:
         self._set_demand_hook(item)
         self._dirty_classes.add(item.priority)
         self._mark_dirty()
+        for fn in self._input_observers:
+            fn(self)
 
     def _set_demand_hook(self, item: FluidItem) -> None:
         """Engine hook: mirror a demand change into engine state before

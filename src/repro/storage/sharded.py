@@ -207,6 +207,10 @@ class ShardedStore:
         return self.shards[self._index_for(key)].ref
 
     def _refresh_ranges(self) -> None:
+        """Push the table's ranges into the shard proclets.  Split and
+        merge end their table edits here, so this is where they are
+        versioned."""
+        self.qs.runtime.state_version += 1
         for i, shard in enumerate(self.shards):
             p = self.qs.runtime._proclets.get(shard.ref.proclet_id)
             if p is None:

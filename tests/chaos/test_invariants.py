@@ -3,8 +3,12 @@ catches deliberately corrupted state."""
 
 import pytest
 
-from repro.chaos import InvariantChecker, InvariantViolation
-from repro.units import MiB
+from repro import MachineSpec
+from repro.chaos import (ChaosConfig, InvariantChecker, InvariantViolation,
+                         run_chaos)
+from repro.ft import RecoveryConfig, RecoveryPolicy
+from repro.runtime import ProcletStatus
+from repro.units import GiB, MiB
 
 from ..conftest import make_qs
 
@@ -155,3 +159,94 @@ class TestCorruptionDetected:
         qs.sim.call_at(0.01, m0.memory.reserve, 64 * MiB)
         with pytest.raises(InvariantViolation):
             qs.run(until=0.02)
+
+
+def ticks(qs, every=0.004, until=0.1):
+    """Idle events at exact instants: the checker skips re-derivation
+    on all of them until something writes checked state."""
+    for i in range(1, int(round(until / every)) + 1):
+        qs.sim.call_at(i * every, lambda: None)
+
+
+class TestObserverPathDetection:
+    """Attached checkers re-derive only after events that reported a
+    write through a versioned mutator or a subscribed listener.  Each
+    corruption here goes through one family of such mutators inside
+    ``sim.call_at`` while idle events keep the gated path busy, and
+    ``qs.run`` itself must raise at that event."""
+
+    def test_locator_move(self, qs):
+        checker = checked(qs)
+        m0, m1 = qs.machines
+        ref = qs.spawn_memory(machine=m0)
+        ticks(qs)
+        qs.sim.call_at(0.01, qs.runtime.locator.move, ref.proclet_id, m1)
+        with pytest.raises(InvariantViolation,
+                           match=r"^t=0\.010000s: .*locator says m1"):
+            qs.run(until=0.05)
+        assert checker.derivations < checker.checks
+
+    def test_status_migrating_behind_a_gate_that_never_opens(self, qs):
+        checker = checked(qs, gate_timeout=0.005)
+        ref = qs.spawn_memory()
+        ticks(qs)
+
+        def stick():
+            proclet = ref.proclet
+            qs.runtime.set_status(proclet, ProcletStatus.MIGRATING)
+            proclet._migration_gate = qs.sim.event()
+
+        qs.sim.call_at(0.01, stick)
+        # Gated at 0.010; the tick at 0.012 is inside the timeout and the
+        # one at 0.016 is the first past it — both skip re-derivation, so
+        # the O(1) oldest-gate test is what must catch it.
+        with pytest.raises(InvariantViolation,
+                           match=r"^t=0\.016000s: .* gated for 0\.006s"):
+            qs.run(until=0.05)
+        assert checker.derivations < checker.checks
+
+    def test_shard_table_edit(self, qs):
+        checker = checked(qs)
+        ds = qs.sharded_map(name="kv")
+        ticks(qs)
+        qs.sim.call_at(0.01, ds._remove_shard, ds.shards[0])
+        with pytest.raises(InvariantViolation,
+                           match=r"^t=0\.010000s: kv: empty routing table"):
+            qs.run(until=0.05)
+        assert checker.derivations < checker.checks
+
+    def test_checkpoint_ledger_edit(self):
+        qs = make_qs(
+            machines=[MachineSpec(name=f"m{i}", cores=4, dram_bytes=4 * GiB)
+                      for i in range(3)],
+            enable_local_scheduler=False, enable_global_scheduler=False,
+            enable_split_merge=False)
+        manager = qs.enable_recovery(RecoveryConfig(
+            heartbeat_interval=1e-3, checkpoint_interval=10e-3))
+        ref = qs.spawn_memory(machine=qs.machines[0], name="state")
+        qs.run(until_event=ref.call("mp_put", 0, 8 * MiB, "v"))
+        manager.protect(ref, RecoveryPolicy.CHECKPOINT)
+        qs.run(until=0.1)
+        checker = checked(qs)
+
+        def prune():
+            # The crash hook drops the peer's snapshots from the ledger;
+            # run against a peer that is still up, the bytes stay
+            # reserved in its DRAM with nothing accounting for them.
+            (snap,) = manager._snapshots.values()
+            manager._on_machine_failure(snap.peer, [])
+
+        qs.sim.call_at(0.11, prune)
+        with pytest.raises(InvariantViolation,
+                           match=r"^t=0\.110000s: m\d DRAM ledger"):
+            qs.run(until=0.2)
+        assert checker.derivations < checker.checks
+
+    def test_faults_seed_0_fails_at_the_same_first_bad_event(self):
+        with pytest.raises(InvariantViolation) as err:
+            run_chaos(ChaosConfig(seed=0, autoscale=True,
+                                  recovery_policy="checkpoint"))
+        assert str(err.value) == (
+            "t=1.218345s: m0 DRAM ledger 3862150936.4 B != 3929765994.6 B "
+            "(residents 2414685752.0 + ballast 0.0 + in-flight 0.0 + "
+            "checkpoints 1515080242.6)")

@@ -1,6 +1,8 @@
 """End-to-end chaos scenario tests: determinism, crash coverage, and
 the CLI entry point."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos import ChaosConfig, run_chaos
@@ -47,6 +49,14 @@ class TestScenario:
         result = run_chaos(small(duration=0.2, oracle=True,
                                  invariant_stride=20))
         assert result.oracle_comparisons > 0
+
+    def test_full_derivations_reported_but_not_digested(self):
+        result = run_chaos(small())
+        assert 0 < result.invariant_derivations < result.invariant_checks
+        assert (f"({result.invariant_derivations} full derivations, "
+                in result.report())
+        other = dataclasses.replace(result, invariant_derivations=0)
+        assert other.digest() == result.digest()
 
 
 class TestRecoveryMode:
