@@ -87,20 +87,12 @@ class LatencyService:
         self.requests_done += 1
         self.samples.append((arrived_at, sim.now - arrived_at))
 
-    def latency_summary(self, since: Optional[float] = None,
-                        since_index: int = 0) -> Summary:
-        """Summary of response times, trimmed by either form.
-
-        ``since`` (virtual time) keeps requests *arriving* at or after
-        that instant — the same warmup-trimming contract as
-        :meth:`CloneService.latency_summary`.  ``since_index`` (the
-        legacy form) slices by completion order.  ``since`` wins when
-        both are given.
-        """
-        if since is not None:
-            return Summary.of([latency for arrived, latency in self.samples
-                               if arrived >= since])
-        return Summary.of(self.latencies[since_index:])
+    def latency_summary(self, since: float = 0.0) -> Summary:
+        """Summary of response times for requests arriving at or after
+        *since* — the same warmup-trimming contract as
+        :meth:`CloneService.latency_summary`."""
+        return Summary.of([latency for arrived, latency in self.samples
+                           if arrived >= since])
 
     def __repr__(self) -> str:
         return (f"<LatencyService {self.name!r} on {self.machine.name} "

@@ -107,10 +107,11 @@ class ArrivalTrace:
 
     def _draw_bursts(self) -> List[Tuple[float, float]]:
         spec = self.spec
-        if spec.bursts_per_period <= 0 or spec.burst_factor == 1.0:
+        # A subnormal bursts_per_period can underflow the rate to 0.
+        burst_rate = spec.bursts_per_period / spec.period
+        if burst_rate <= 0 or spec.burst_factor == 1.0:
             return []
         windows: List[Tuple[float, float]] = []
-        burst_rate = spec.bursts_per_period / spec.period
         t = self.rng.expovariate(burst_rate)
         while t < self.horizon:
             end = t + spec.burst_duration

@@ -33,9 +33,9 @@ from .cache import ResultCache
 from .spec import RunSpec, canonical
 
 #: Kernel counter names shipped from workers (stable order for merging).
+#: The last two are always 0 (no timer wheel); perfbench/worker.py reads them.
 KERNEL_KEYS = ("events", "cancellations", "tombstones_popped",
-               "compactions", "wheel_inserts", "wheel_cancels",
-               "overflow_to_heap", "cascades")
+               "compactions", "wheel_inserts", "overflow_to_heap")
 
 
 def results_digest(values: Iterable[Any]) -> str:

@@ -58,30 +58,18 @@ split the leftover capacity evenly (rate = one identical ``share``
 float).  The test is a prefix-sum: member ``i`` is constrained iff
 ``d[i] * (n - i) <= capacity - csum[i]`` where ``csum[i]`` is the sum of
 demands before ``i``.  This closed form is chosen over the classic
-sequential ``cap -= rate`` loop because every float operation in it maps
-one-to-one onto a numpy kernel (stable argsort, sequential cumsum,
-elementwise multiply/divide), which is what lets the optional vector
-core (below) produce bit-identical trajectories.
-
-Vector core
------------
-
-``REPRO_VECTOR_FLUID=1`` (or ``FluidScheduler(..., vector=True)``)
-selects :class:`repro.sim.vecfluid.VectorFluidScheduler`, a
-struct-of-arrays numpy engine behind this exact API: per-item
-remaining/rate/demand live in flat arrays indexed by stable slots,
-fills and completion scans run as array kernels, and
-:class:`FluidItem` becomes a thin handle.  Trajectories are
-bit-identical with the toggle on or off (enforced like the timer
-wheel's gate, by chaos digest replay); when numpy is not installed the
-toggle silently keeps this pure-python engine, so the core library
-retains its no-numpy invariant (see ``metrics/stats.py``).
+sequential ``cap -= rate`` loop because it divides the leftover once:
+every unconstrained member receives the very same ``share`` float,
+whereas the sequential loop re-divides a running remainder and can hand
+equal-demand members rates that differ in the last bit depending on
+their position in the bucket.  With one share, a member's rate depends
+only on the class's demands and capacity, never on its place in
+submission order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .errors import UnboundResource
@@ -91,32 +79,6 @@ from .simulator import Simulator
 _EPS = 1e-12
 #: Work remaining below this is considered complete (guards float drift).
 _DONE_TOL = 1e-9
-
-
-def _vector_default() -> bool:
-    return os.environ.get("REPRO_VECTOR_FLUID", "0").strip().lower() \
-        in ("1", "true", "on", "yes")
-
-
-#: Lazily resolved VectorFluidScheduler class, or False once resolution
-#: failed (numpy absent) so the import is attempted at most once.
-_VEC_CLS = None
-
-
-def _vector_cls():
-    global _VEC_CLS
-    if _VEC_CLS is None:
-        try:
-            from .vecfluid import VectorFluidScheduler
-            _VEC_CLS = VectorFluidScheduler
-        except ImportError:
-            _VEC_CLS = False
-    return _VEC_CLS or None
-
-
-def vector_supported() -> bool:
-    """True when the optional numpy vector core is importable."""
-    return _vector_cls() is not None
 
 
 class FluidItem:
@@ -195,36 +157,9 @@ class FluidItem:
 
 
 class FluidScheduler:
-    """Strict-priority, max-min-fair rate scheduler over one capacity.
+    """Strict-priority, max-min-fair rate scheduler over one capacity."""
 
-    Constructing ``FluidScheduler(...)`` may actually build a
-    :class:`repro.sim.vecfluid.VectorFluidScheduler` — the numpy
-    struct-of-arrays engine — when ``vector=True`` is passed or the
-    ``REPRO_VECTOR_FLUID`` environment variable enables it (and numpy is
-    importable; otherwise this pure-python engine is used silently).
-    The two produce bit-identical trajectories.
-    """
-
-    #: True on the numpy vector engine subclass.
-    vectorized = False
-    #: Item class the engine hands out (the vector engine substitutes a
-    #: slot-backed handle subclass).
-    _item_cls = FluidItem
-
-    def __new__(cls, sim: Simulator, capacity: float = 0.0,
-                name: str = "fluid", vector: Optional[bool] = None):
-        if cls is FluidScheduler:
-            want = _vector_default() if vector is None else vector
-            if want:
-                vec = _vector_cls()
-                if vec is not None:
-                    return object.__new__(vec)
-        return object.__new__(cls)
-
-    def __init__(self, sim: Simulator, capacity: float, name: str = "fluid",
-                 vector: Optional[bool] = None):
-        # ``vector`` is consumed by __new__; accepted here so the
-        # signature matches the constructor call.
+    def __init__(self, sim: Simulator, capacity: float, name: str = "fluid"):
         if capacity < 0:
             raise ValueError(f"negative capacity: {capacity}")
         self.sim = sim
@@ -308,8 +243,8 @@ class FluidScheduler:
             raise ValueError(f"negative work: {work}")
         if demand <= 0:
             raise ValueError(f"demand must be positive: {demand}")
-        item = self._item_cls(self, name or f"{self.name}-item", work, demand,
-                              priority, owner=owner)
+        item = FluidItem(self, name or f"{self.name}-item", work, demand,
+                         priority, owner=owner)
         if work <= _DONE_TOL:
             item._sched = None
             item.remaining = 0.0
@@ -322,8 +257,8 @@ class FluidScheduler:
     def hold(self, demand: float, priority: int = 1, name: str = "",
              owner=None) -> FluidItem:
         """Submit an unbounded item that runs until cancelled."""
-        item = self._item_cls(self, name or f"{self.name}-hold", math.inf,
-                              demand, priority, owner=owner)
+        item = FluidItem(self, name or f"{self.name}-hold", math.inf,
+                         demand, priority, owner=owner)
         self._insert(item)
         return item
 
@@ -386,15 +321,10 @@ class FluidScheduler:
         self._pending_start.clear()
         self._structure_changed = True
         for item in items:
-            self._discard(item)
             item._sched = None
             item._rate = 0.0
             item.done.fail(exc)
         self._mark_dirty()
-
-    def _discard(self, item: FluidItem) -> None:
-        """Engine hook: per-item teardown during :meth:`fail_all` (the
-        vector engine releases the item's array slot here)."""
 
     # -- tuning ---------------------------------------------------------------
     def set_demand(self, item: FluidItem, demand: float) -> None:
@@ -404,15 +334,10 @@ class FluidScheduler:
             raise ValueError(f"demand must be positive: {demand}")
         self._demand_total += float(demand) - item.demand
         item.demand = float(demand)
-        self._set_demand_hook(item)
         self._dirty_classes.add(item.priority)
         self._mark_dirty()
         for fn in self._input_observers:
             fn(self)
-
-    def _set_demand_hook(self, item: FluidItem) -> None:
-        """Engine hook: mirror a demand change into engine state before
-        the flush (the vector engine updates its demand array)."""
 
     def set_priority(self, item: FluidItem, priority: int) -> None:
         if item._sched is not self:
@@ -612,11 +537,6 @@ class FluidScheduler:
                 served[prio] = served.get(prio, 0.0) + rs * elapsed
                 total += rs
         self.served_integral += total * elapsed
-        self._advance_remaining(elapsed)
-
-    def _advance_remaining(self, elapsed: float) -> None:
-        """Engine hook: decrement every served item's remaining work by
-        ``rate * elapsed`` (clamped at zero; holds stay infinite)."""
         finite = self._finite
         buckets = self._buckets
         for prio in self._prio_order:
@@ -741,8 +661,7 @@ class FluidScheduler:
         Prefix-sum split (see the module docstring): members sorted by
         demand, ``k`` = first index whose demand exceeds an equal split
         of what would remain, everyone from ``k`` on gets one identical
-        ``share``.  Float-op for float-op the same computation as the
-        vector engine's array kernel.
+        ``share``.
 
         Returns ``(used, changed)``: the capacity actually consumed and
         whether any item's rate moved.
@@ -817,21 +736,17 @@ class FluidScheduler:
         ev.callbacks = [self._on_timer_cb]
         self._timer = ev
 
-    def _find_finished(self) -> List[FluidItem]:
-        """Engine hook: items whose work is (float-tolerantly) done, in
-        submission order.  An item is done when under a nanosecond of
-        service remains: the absolute tolerance alone is not enough
-        because work values can be huge (bytes), making float error
-        exceed any fixed epsilon."""
-        return [
-            it for it in self._items
-            if it.remaining <= max(_DONE_TOL, it._rate * 1e-9)
-        ]
-
     def _on_timer(self, _ev: Optional[Event] = None) -> None:
         self._timer = None
         self._settle()
-        finished = self._find_finished()
+        # Items finish, in submission order, once under a nanosecond of
+        # service remains: the absolute tolerance alone is not enough
+        # because work values can be huge (bytes), making float error
+        # exceed any fixed epsilon.
+        finished = [
+            it for it in self._items
+            if it.remaining <= max(_DONE_TOL, it._rate * 1e-9)
+        ]
         for it in finished:
             self._remove(it)
             it._sched = None

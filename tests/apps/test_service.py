@@ -216,7 +216,7 @@ class TestCloneService:
 
 class TestUnifiedLatencySummary:
     """Both services expose the same `since` (virtual-time) trimming
-    contract; LatencyService keeps the legacy `since_index` form."""
+    contract."""
 
     def _run(self):
         qs = quiet_qs()
@@ -235,20 +235,9 @@ class TestUnifiedLatencySummary:
         want = [lat for arr, lat in svc.samples if arr >= 0.2]
         assert trimmed.count == len(want)
 
-    def test_since_index_still_works(self):
-        svc = self._run()
-        full = svc.latency_summary()
-        legacy = svc.latency_summary(since_index=10)
-        assert legacy.count == full.count - 10
-
     def test_since_zero_equals_untrimmed(self):
         svc = self._run()
         assert svc.latency_summary(since=0.0) == svc.latency_summary()
-
-    def test_since_wins_over_since_index(self):
-        svc = self._run()
-        both = svc.latency_summary(since=0.2, since_index=10**6)
-        assert both == svc.latency_summary(since=0.2)
 
     def test_matches_clone_service_shape(self):
         """The two services' samples lists are interchangeable."""

@@ -108,6 +108,11 @@ class TestBurstWindows:
         assert _trace(TraceSpec(base_rate=50.0, burst_factor=2.0)).bursts \
             == []  # factor without windows per period
 
+    def test_underflowing_burst_rate_draws_no_windows(self):
+        spec = TraceSpec(base_rate=10.0, period=2.0, burst_factor=2.0,
+                         bursts_per_period=5e-324)
+        assert _trace(spec).bursts == []
+
 
 class TestArrivals:
     @given(_specs, st.integers(0, 2 ** 16))

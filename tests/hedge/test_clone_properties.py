@@ -65,7 +65,7 @@ def test_exactly_one_winner_for_any_schedule(durations, clone_to, hedge):
 @given(durations=_durations, clone_to=st.integers(2, 4))
 def test_loser_cancellation_leaks_no_tombstones(durations, clone_to):
     """Cancelling losers goes through the real timer machinery: once
-    the sim drains, every tombstoned heap/wheel entry was reclaimed."""
+    the sim drains, every tombstoned heap entry was reclaimed."""
     qs = quiet_qs()
     ref = qs.spawn(Drawn(durations), qs.machines[0])
     for _ in range(3):

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Simulator, kernel_totals
+from repro.sim.events import NORMAL, URGENT
 
 
 @pytest.fixture
@@ -155,6 +156,76 @@ class TestCancellation:
         assert sim.peek() == 3.0
 
 
+def _lcg(seed=12345):
+    """Deterministic pseudorandom floats in [0, 1) (no global RNG)."""
+    state = seed
+    while True:
+        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+        yield (state >> 11) / float(1 << 53)
+
+
+def _storm(cancelled, n=400):
+    """Schedule *n* timers, many sharing an instant and some URGENT,
+    cancel the indices in *cancelled*, and run.  Returns the firing
+    order and the order a sorted ``(when, priority, seq)`` reference
+    predicts for the live timers."""
+    sim = Simulator()
+    rnd = _lcg()
+    fired, entries, events = [], [], []
+    for i in range(n):
+        if next(rnd) < 0.4:
+            delay = int(next(rnd) * 8) / 4.0   # one of 8 shared instants
+        else:
+            delay = next(rnd) * 3.0
+        priority = URGENT if next(rnd) < 0.3 else NORMAL
+        # Trigger by hand, as succeed() would, but at *priority*.
+        ev = sim.event()
+        ev._value = None
+        sim._schedule(ev, delay, priority)
+        ev.subscribe(lambda _e, i=i: fired.append(i))
+        # Scheduled at t=0, so ``when`` is the delay and seq grows with i.
+        entries.append((delay, priority, i))
+        events.append(ev)
+    for i in cancelled:
+        assert sim.cancel(events[i])
+    dead = set(cancelled)
+    expected = [i for _, _, i in sorted(entries) if i not in dead]
+    sim.run()
+    return fired, expected, sim
+
+
+class TestDispatchOrderReference:
+    """The heap fires exactly in sorted ``(when, priority, seq)`` order:
+    same-instant ties break URGENT-first, then by scheduling order, and
+    cancellations never reorder the survivors."""
+
+    def test_sparse_cancellations(self):
+        fired, expected, sim = _storm(range(0, 400, 7))
+        assert fired == expected
+        assert sim.compactions == 0
+
+    def test_cancellations_that_compact(self):
+        fired, expected, sim = _storm(
+            [i for i in range(400) if i % 3])
+        assert fired == expected
+        assert sim.compactions >= 1
+
+
+class TestKernelTotals:
+    def test_step_books_tombstones_and_cancellations(self, sim):
+        live = sim.timeout(2.0)
+        later = sim.timeout(3.0)
+        live.subscribe(lambda _e: sim.cancel(later))
+        sim.cancel(sim.timeout(1.0))
+        before = kernel_totals()
+        sim.step()
+        after = kernel_totals()
+        assert sim.now == 2.0
+        assert after["events"] - before["events"] == 1
+        assert after["tombstones_popped"] - before["tombstones_popped"] == 1
+        assert after["cancellations"] - before["cancellations"] == 1
+
+
 class TestHeapCompaction:
     def test_mass_cancellation_triggers_compaction(self, sim):
         events = [sim.timeout(1.0) for _ in range(200)]
@@ -177,12 +248,8 @@ class TestHeapCompaction:
         sim.timeout(1.0)
         sim.cancel(sim.timeout(2.0))
         stats = sim.heap_stats()
-        # 1.0 s and 2.0 s are beyond the wheel window, so both inserts
-        # overflow to the heap.
         assert stats == {"queued": 1, "dead_entries": 1, "compactions": 0,
-                         "cancellations": 1, "tombstones_popped": 0,
-                         "wheel_inserts": 0, "wheel_cancels": 0,
-                         "overflow_to_heap": 2, "cascades": 0}
+                         "cancellations": 1, "tombstones_popped": 0}
 
     def test_repr_shows_heap_diagnostics(self, sim):
         sim.cancel(sim.timeout(1.0))
