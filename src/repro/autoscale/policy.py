@@ -1,6 +1,6 @@
 """Shared size-threshold predicates.
 
-Both the deprecated heap-change-driven
+Both the heap-change-driven
 :class:`~repro.core.splitmerge.ShardSizeController` and the
 :class:`~repro.autoscale.ShardAutoscaler` control loop decide through
 these three functions, so the two paths provably agree on what counts

@@ -1,10 +1,12 @@
 """Two-phase, crash-safe reshard protocol for range-sharded structures.
 
-The legacy split path (``Quicksand._split_memory_proc`` + the
-structure's completion subscriber) publishes the child only after its
-process event settles, and relies on ad-hoc cleanup when a machine dies
-mid-copy.  This module is the designed-for-failure replacement the
-autoscaler drives:
+This is the only way a range-sharded memory structure
+(:class:`~repro.ds.ShardedBase` and its subclasses) changes shape.  Both
+triggers drive it through ``reshard_split_by_id`` /
+``reshard_merge_by_id``: the heap-change
+:class:`~repro.core.splitmerge.ShardSizeController` (the default) and
+the periodic :class:`~repro.autoscale.ShardAutoscaler`.  Each op runs
+three phases:
 
 ``PREPARE``
     Gate the donor shard (reusing the migration-gate mechanism, so
@@ -35,14 +37,14 @@ authoritative, which the chaos invariants verify after every event.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ..runtime.errors import MachineFailed
 from ..runtime.proclet import ProcletStatus
 from ..runtime.reshard import ReshardPhase
 
 
-def reshard_split(ds, proclet_id: int, driver: str = "autoscale"):
+def reshard_split(ds, proclet_id: int):
     """Split shard *proclet_id* of structure *ds* through the two-phase
     protocol; returns the completion process event (value:
     ``(split_key, child_ref)`` or ``None`` when declined/aborted), or
@@ -51,11 +53,11 @@ def reshard_split(ds, proclet_id: int, driver: str = "autoscale"):
     if idx is None:
         return None
     shard = ds.shards[idx]
-    return ds.qs.sim.process(_split_proc(ds, shard, driver),
+    return ds.qs.sim.process(_split_proc(ds, shard),
                              name=f"reshard-split:{ds.name}")
 
 
-def reshard_merge(ds, proclet_id: int, driver: str = "autoscale"):
+def reshard_merge(ds, proclet_id: int):
     """Merge shard *proclet_id* into its preferred partner through the
     two-phase protocol; returns the completion event (value ``True`` or
     ``None``), or ``None`` when there is nothing to merge."""
@@ -66,11 +68,11 @@ def reshard_merge(ds, proclet_id: int, driver: str = "autoscale"):
     partner = ds._merge_partner(idx)
     if partner is None:
         return None
-    return ds.qs.sim.process(_merge_proc(ds, shard, partner, driver),
+    return ds.qs.sim.process(_merge_proc(ds, shard, partner),
                              name=f"reshard-merge:{ds.name}")
 
 
-def _split_proc(ds, shard, driver: str) -> Generator:
+def _split_proc(ds, shard) -> Generator:
     qs = ds.qs
     sim = qs.sim
     runtime = qs.runtime
@@ -80,13 +82,12 @@ def _split_proc(ds, shard, driver: str) -> Generator:
             or src.object_count < 2:
         return None
 
-    op = ledger.begin("split", ds, src.id, driver=driver)
+    op = ledger.begin("split", ds, src.id)
     tr = sim.tracer
     span = None
     if tr is not None:
-        span = tr.begin("reshard", f"split {src.name}",
-                        track=f"proclet:{src.name}", kind="split",
-                        driver=driver)
+        span = tr.begin("split", f"split {src.name}",
+                        track=f"proclet:{src.name}", kind="memory")
     m = qs.metrics
 
     def abort(reason: str, outcome: str):
@@ -173,15 +174,15 @@ def _split_proc(ds, shard, driver: str) -> Generator:
     close_gate_window()
     ledger.complete(op)
     runtime.tracer.emit(
-        "reshard", f"split {src.name} at {split_key!r} -> {child.name}",
-        moved_bytes=int(nbytes), dst=dst.name, driver=driver)
+        "split", f"{src.name} at {split_key!r} -> {child.name}",
+        moved_bytes=int(nbytes), dst=dst.name)
     if tr is not None:
         tr.end(span, moved_bytes=int(nbytes), dst=dst.name,
                new=child.name)
     return split_key, child_ref
 
 
-def _merge_proc(ds, shard, partner, driver: str) -> Generator:
+def _merge_proc(ds, shard, partner) -> Generator:
     qs = ds.qs
     sim = qs.sim
     runtime = qs.runtime
@@ -196,14 +197,13 @@ def _merge_proc(ds, shard, partner, driver: str) -> Generator:
     if not dst.machine.memory.can_fit(src.heap_bytes):
         return None
 
-    op = ledger.begin("merge", ds, src.id, driver=driver)
+    op = ledger.begin("merge", ds, src.id)
     ledger.add_child(op, dst.id)
     tr = sim.tracer
     span = None
     if tr is not None:
-        span = tr.begin("reshard", f"merge {src.name} -> {dst.name}",
-                        track=f"proclet:{dst.name}", kind="merge",
-                        driver=driver)
+        span = tr.begin("merge", f"merge {src.name} -> {dst.name}",
+                        track=f"proclet:{dst.name}", kind="memory")
     m = qs.metrics
 
     def abort(reason: str, outcome: str):
@@ -273,8 +273,7 @@ def _merge_proc(ds, shard, partner, driver: str) -> Generator:
     runtime.destroy(shard.ref)
     ledger.complete(op)
     runtime.tracer.emit(
-        "reshard", f"merge {src.name} -> {dst.name}",
-        moved_bytes=int(nbytes), driver=driver)
+        "merge", f"{src.name} -> {dst.name}", moved_bytes=int(nbytes))
     if tr is not None:
         tr.end(span, moved_bytes=int(nbytes))
     return True

@@ -32,7 +32,8 @@ injected:
    space at every instant (first bound is BOTTOM, bounds strictly
    sorted, parallel arrays agree — *routable-keys-always*); every table
    entry resolves to a live or recoverably-lost proclet (a destroyed
-   entry is legal only inside an active, ledger-protected reshard op);
+   entry is never legal: reshards retire a shard from the table before
+   destroying it);
    each settled shard proclet's enforced ``range_lo``/``range_hi``
    agrees with its table neighbours; and no live shard proclet is
    absent from its owner's table unless an active op protects it (no
@@ -451,14 +452,13 @@ class InvariantChecker:
                 pid = getattr(shard, "ref", shard).proclet_id
                 proclet = runtime._proclets.get(pid)
                 if proclet is None:
-                    # Lost to a machine failure (recovery's problem) or
-                    # destroyed inside a still-settling reshard op (the
-                    # legacy merge's completion-subscriber window).
-                    if pid not in lost and pid not in protected:
+                    # Only a machine failure (recovery's problem) may
+                    # leave a dead entry: every reshard retires a shard
+                    # from the table before destroying it.
+                    if pid not in lost:
                         self._fail(
                             f"{ds.name}: routing table entry #{pid} is "
-                            f"destroyed with no active reshard op "
-                            f"(unroutable range)")
+                            f"destroyed but not lost (unroutable range)")
                     continue
                 if los is None or pid in protected:
                     continue

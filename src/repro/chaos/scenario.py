@@ -65,9 +65,10 @@ class ChaosConfig:
     # RecoveryPolicy value for the shards ("none" runs the detector and
     # registry but recovers nothing — lost proclets stay lost).
     recovery_policy: Optional[str] = None
-    # Autoscaler mode: replaces the legacy size controller with the
-    # ShardAutoscaler and adds a range-sharded map under routed-key
-    # churn, so faults land at every reshard phase boundary.  The
+    # Autoscaler mode: the ShardAutoscaler replaces the heap-change
+    # ShardSizeController as the reshard trigger, and a range-sharded
+    # map under routed-key churn is added, so faults land at every
+    # reshard phase boundary.  The
     # default False keeps pre-autoscaler digests byte-identical.
     autoscale: bool = False
     map_item_bytes: float = 2 * MiB

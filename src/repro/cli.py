@@ -447,10 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "application-level healing, byte-identical to "
                          "previous releases)")
     pc.add_argument("--autoscale", action="store_true",
-                    help="replace the legacy size controller with the "
-                         "ShardAutoscaler and add a range-sharded map "
-                         "under routed churn (exercises the two-phase "
-                         "reshard protocol under faults)")
+                    help="trigger reshards from the periodic "
+                         "ShardAutoscaler instead of the heap-change "
+                         "ShardSizeController, and add a range-sharded "
+                         "map under routed churn (faults land at every "
+                         "two-phase reshard phase boundary)")
     _add_exec_args(pc)
     pc.set_defaults(fn=_cmd_chaos)
 

@@ -103,9 +103,17 @@ class MemoryProclet(ResourceProclet):
         old = self._objects.get(key)
         if old is not None:
             self.heap_free(old[0])
-        else:
+        try:
+            ctx.alloc(nbytes)
+        except Exception:
+            # Out of DRAM: leave the store exactly as it was (a key in
+            # ``_keys`` without an ``_objects`` entry breaks
+            # ``split_point``).
+            if old is not None:
+                self.heap_alloc(old[0])
+            raise
+        if old is None:
             bisect.insort(self._keys, key)
-        ctx.alloc(nbytes)
         self._objects[key] = (float(nbytes), value)
         return old is None
 

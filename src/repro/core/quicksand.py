@@ -17,7 +17,7 @@ scheduler, split/merge, and the high-level data structures::
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple, Union
+from typing import Generator, List, Optional, Union
 
 from ..cluster import Cluster, ClusterSpec, Machine, Priority
 from ..runtime import (
@@ -89,7 +89,7 @@ class Quicksand:
         self.recovery = None
         #: The attached repro.autoscale.ShardAutoscaler
         #: (enable_autoscaler), or None: shard sizing stays with the
-        #: legacy heap-change controller above.
+        #: heap-change controller above.
         self.autoscaler = None
         self.splits = 0
         self.merges = 0
@@ -132,10 +132,10 @@ class Quicksand:
         """Attach the :mod:`repro.autoscale` control loop and return its
         :class:`~repro.autoscale.ShardAutoscaler`.
 
-        Detaches the deprecated heap-change-driven
+        Detaches the heap-change-driven
         :class:`~repro.core.splitmerge.ShardSizeController` — exactly
-        one controller may own shard sizing.  Child-shard placement in
-        the autoscaler's reshard protocol goes through
+        one controller may trigger the reshard protocol.  Child-shard
+        placement in the reshard protocol goes through
         ``placement.best_for_memory`` and is therefore health-gated
         whenever :meth:`enable_recovery` is active.  Without this call,
         nothing from :mod:`repro.autoscale` runs and trajectories are
@@ -210,155 +210,9 @@ class Quicksand:
                       name: str = "") -> ProcletRef:
         return self.spawn(StorageProclet(), machine, name=name)
 
-    # -- split / merge primitives (§3.3) -------------------------------------------
-    def split_memory(self, ref: ProcletRef,
-                     dst: Optional[Machine] = None):
-        """Split a memory proclet into two byte-balanced halves.
-
-        Returns a process event whose value is ``(split_key, new_ref)``,
-        or ``None`` when the split could not proceed (proclet busy, or no
-        DRAM anywhere for the new half).
-        """
-        proclet = self.runtime.get_proclet(ref.proclet_id)
-        op_box: dict = {}
-        ev = self.sim.process(self._split_memory_proc(proclet, dst, op_box),
-                              name=f"split:{proclet.name}")
-        # Settle the ledger op when the process settles.  Registered
-        # before any structure's completion subscriber, so op closure
-        # and table publication land within the same event delivery —
-        # the invariant checker never sees them apart.
-        ev.subscribe(lambda e: self._settle_reshard_op(op_box, e))
-        return ev
-
-    def _settle_reshard_op(self, op_box: dict, event) -> None:
-        """Close a legacy split/merge's ledger op from its completion
-        event (the op protects the mid-handoff child from the orphan
-        invariant until the owning structure publishes it)."""
-        op = op_box.get("op")
-        if op is None or not op.active:
-            return
-        ledger = self.runtime.reshard_ledger
-        if event.ok and event.value is not None:
-            ledger.complete(op)
-        else:
-            ledger.abort(op, "declined" if event.ok else repr(event.value))
-
-    def _split_memory_proc(self, src: MemoryProclet,
-                           dst: Optional[Machine],
-                           op_box: Optional[dict] = None) -> Generator:
-        if src.status is not ProcletStatus.RUNNING or src.object_count < 2:
-            return None
-        op = self.runtime.reshard_ledger.begin(
-            "split", src.shard_owner, src.id, driver="legacy")
-        if op_box is not None:
-            op_box["op"] = op
-        tr = self.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("split", f"split {src.name}",
-                            track=f"proclet:{src.name}", kind="memory")
-        gate = self._block(src)
-        yield self.sim.timeout(self.config.split_overhead)
-
-        if src.object_count < 2:
-            # The decision went stale while we waited: deletes or a
-            # competing split shrank the shard below two keys.  Abort
-            # rather than split an un-splittable proclet.
-            self._unblock(src, gate)
-            if tr is not None:
-                tr.end(span, outcome="stale")
-            return None
-        split_key = src.split_point()
-        items, nbytes = src.extract_upper(split_key)
-        new = MemoryProclet()
-        new.shard_owner = src.shard_owner
-        if dst is None:
-            dst = self.placement.best_for_memory(nbytes + new.BASE_FOOTPRINT)
-        if dst is None or not dst.memory.can_fit(nbytes + new.BASE_FOOTPRINT):
-            src.install(items)  # undo: nowhere to put the upper half
-            self._unblock(src, gate)
-            if tr is not None:
-                tr.end(span, outcome="no-room")
-            return None
-        new_ref = self.runtime.spawn(new, dst, name=f"{src.name}.hi")
-        self.runtime.reshard_ledger.add_child(op, new_ref.proclet_id)
-        if dst is not src.machine:
-            yield self.cluster.fabric.transfer(src.machine, dst, nbytes,
-                                               name=f"split:{src.name}")
-        new.install(items)
-        self._unblock(src, gate)
-        self.splits += 1
-        if self.metrics is not None:
-            self.metrics.count("quicksand.splits.memory")
-        self.runtime.tracer.emit(
-            "split", f"{src.name} at {split_key!r} -> {new.name}",
-            moved_bytes=int(nbytes), dst=dst.name,
-        )
-        if tr is not None:
-            tr.end(span, moved_bytes=int(nbytes), dst=dst.name,
-                   new=new.name)
-        return split_key, new_ref
-
-    def merge_memory(self, dst_ref: ProcletRef, src_ref: ProcletRef):
-        """Merge *src* into *dst* (adjacent shards); destroys *src*.
-
-        Returns a process event: ``True`` on success, ``None`` if either
-        proclet was busy or the destination cannot absorb the bytes.
-        """
-        dst_p = self.runtime.get_proclet(dst_ref.proclet_id)
-        src_p = self.runtime.get_proclet(src_ref.proclet_id)
-        op_box: dict = {}
-        ev = self.sim.process(
-            self._merge_memory_proc(dst_p, src_p, src_ref, op_box),
-            name=f"merge:{src_p.name}->{dst_p.name}",
-        )
-        ev.subscribe(lambda e: self._settle_reshard_op(op_box, e))
-        return ev
-
-    def _merge_memory_proc(self, dst_p: MemoryProclet, src_p: MemoryProclet,
-                           src_ref: ProcletRef,
-                           op_box: Optional[dict] = None) -> Generator:
-        if dst_p is src_p:
-            return None  # self-merge would destroy the survivor
-        if (dst_p.status is not ProcletStatus.RUNNING
-                or src_p.status is not ProcletStatus.RUNNING):
-            return None
-        if not dst_p.machine.memory.can_fit(src_p.heap_bytes):
-            return None
-        op = self.runtime.reshard_ledger.begin(
-            "merge", src_p.shard_owner, src_p.id, driver="legacy")
-        self.runtime.reshard_ledger.add_child(op, dst_p.id)
-        if op_box is not None:
-            op_box["op"] = op
-        tr = self.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("merge", f"merge {src_p.name} -> {dst_p.name}",
-                            track=f"proclet:{dst_p.name}", kind="memory")
-        src_gate = self._block(src_p)
-        dst_gate = self._block(dst_p)
-        yield self.sim.timeout(self.config.split_overhead)
-
-        items, nbytes = src_p.extract_all()
-        if dst_p.machine is not src_p.machine:
-            yield self.cluster.fabric.transfer(src_p.machine, dst_p.machine,
-                                               nbytes,
-                                               name=f"merge:{src_p.name}")
-        dst_p.install(items)
-        self._unblock(dst_p, dst_gate)
-        self._unblock(src_p, src_gate)
-        self.runtime.destroy(src_ref)
-        self.merges += 1
-        if self.metrics is not None:
-            self.metrics.count("quicksand.merges.memory")
-        self.runtime.tracer.emit(
-            "merge", f"{src_p.name} -> {dst_p.name}",
-            moved_bytes=int(nbytes),
-        )
-        if tr is not None:
-            tr.end(span, moved_bytes=int(nbytes))
-        return True
-
+    # -- compute split / merge primitives (§3.3) ----------------------------------
+    # Memory shards split and merge through the two-phase protocol in
+    # :mod:`repro.autoscale.reshard`, driven by their owning structure.
     def split_compute(self, ref: ProcletRef,
                       dst: Optional[Machine] = None):
         """Split a compute proclet by dividing its task queue (§3.3).

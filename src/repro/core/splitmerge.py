@@ -5,8 +5,10 @@ Two controllers:
 * :class:`ShardSizeController` keeps memory proclets granular: whenever a
   registered shard's heap crosses ``max_shard_bytes`` it asks the owning
   sharded data structure to split it; shards that shrink below
-  ``min_shard_bytes`` are merged into a neighbour.  Bounding shard size
-  bounds migration latency — the paper's stated reason for the rule.
+  ``min_shard_bytes`` are merged into a neighbour.  Both run through the
+  structure's two-phase reshard protocol
+  (:mod:`repro.autoscale.reshard`).  Bounding shard size bounds
+  migration latency — the paper's stated reason for the rule.
 
 * :class:`ComputeAutoscaler` matches a compute pool's production rate to
   a downstream consumer (Fig. 3): it samples queue flow every
@@ -29,17 +31,15 @@ from .resource import ResourceKind
 class ShardSizeController:
     """Watches registered shards and keeps their sizes in band.
 
-    .. deprecated::
-        This heap-change-driven path is superseded by the
-        :class:`repro.autoscale.ShardAutoscaler` control loop, which
-        adds hysteresis bands, routed-load signals, detector-driven
-        freezing, and the crash-safe two-phase reshard protocol.  The
-        controller remains the default for compatibility (its
-        trajectories are pinned by golden digests) and now shares its
-        size thresholds with the autoscaler via
-        :mod:`repro.autoscale.policy`, so both paths provably make the
-        same size decisions.  ``Quicksand.enable_autoscaler()`` detaches
-        it.
+    The heap-change trigger of the two-phase reshard protocol
+    (:mod:`repro.autoscale.reshard`): every split or merge it requests
+    runs through the owning structure's ``reshard_split_by_id`` /
+    ``reshard_merge_by_id``.  It is the default trigger; the periodic
+    :class:`repro.autoscale.ShardAutoscaler` adds hysteresis bands,
+    routed-load signals and detector-driven freezing on top of the same
+    protocol, and ``Quicksand.enable_autoscaler()`` detaches this
+    controller.  Both share their size thresholds via
+    :mod:`repro.autoscale.policy`, so they make the same size decisions.
     """
 
     def __init__(self, qs):
@@ -64,8 +64,9 @@ class ShardSizeController:
     def register(self, shard_ref, ds) -> None:
         """Track *shard_ref* on behalf of sharded structure *ds*.
 
-        *ds* must provide ``split_shard_by_id`` / ``merge_shard_by_id`` /
-        ``wants_merge`` (see :class:`repro.ds.ShardedBase`).
+        *ds* must provide ``reshard_split_by_id`` /
+        ``reshard_merge_by_id`` / ``wants_merge`` (see
+        :class:`repro.ds.ShardedBase`).
         """
         self._owners[shard_ref.proclet_id] = ds
         # A shard created by a split may itself be born oversized (writes
@@ -110,22 +111,26 @@ class ShardSizeController:
             self.qs.sim.call_in(0.0, self._run_merge, proclet.id, ds)
 
     def _run_split(self, proclet_id: int, ds) -> None:
-        ev = ds.split_shard_by_id(proclet_id)
+        ev = ds.reshard_split_by_id(proclet_id)
         if ev is None:
             self._busy.discard(proclet_id)
             return
-        ev.subscribe(lambda e: self._done(proclet_id, e))
+        ev.subscribe(lambda e: self._done(proclet_id, e, split=True))
 
     def _run_merge(self, proclet_id: int, ds) -> None:
-        ev = ds.merge_shard_by_id(proclet_id)
+        ev = ds.reshard_merge_by_id(proclet_id)
         if ev is None:
             self._busy.discard(proclet_id)
             return
-        ev.subscribe(lambda e: self._done(proclet_id, e))
+        ev.subscribe(lambda e: self._done(proclet_id, e, split=False))
 
-    def _done(self, proclet_id: int, event) -> None:
+    def _done(self, proclet_id: int, event, split: bool) -> None:
         """A split/merge finished: re-check, since many writes may have
         landed while we were busy and the shard can still be oversized.
+
+        A committed split also re-checks its child: the protocol
+        registers the child while it is still gated, so the born-
+        oversized check in :meth:`register` could not act on it.
 
         Only re-check when the op actually did something — a declined op
         (value ``None``: shard unsplittable, nowhere to place, ...) would
@@ -135,7 +140,13 @@ class ShardSizeController:
         self._busy.discard(proclet_id)
         if not event.ok or event.value is None:
             return
-        proclet = self.qs.runtime._proclets.get(proclet_id)
+        proclets = self.qs.runtime._proclets
+        if split:
+            _split_key, child_ref = event.value
+            child = proclets.get(child_ref.proclet_id)
+            if child is not None:
+                self._on_heap_change(child)
+        proclet = proclets.get(proclet_id)
         if proclet is not None:
             self._on_heap_change(proclet)
 

@@ -252,8 +252,16 @@ class ShardedQueue:
                 return value
         return None
 
-    # -- controller protocol (oversize queue shards split, §4) ---------------------
-    def split_shard_by_id(self, proclet_id: int):
+    # -- reshard interface (oversize queue shards split, §4) ------------------------
+    # Queues have no key ranges, so they keep their own split/merge
+    # processes instead of the range-map protocol in
+    # :mod:`repro.autoscale.reshard`; both follow the same crash-safe
+    # shape (gate, build fully before publishing, rollback into a
+    # surviving source) and register their ops in the reshard ledger.
+    def reshard_split_by_id(self, proclet_id: int):
+        """Split the named shard; the completion event's value is
+        ``(None, child_ref)`` (a queue split has no split key) or
+        ``None`` when declined/aborted."""
         shard = self._ref_by_id(proclet_id)
         if shard is None:
             return None
@@ -265,7 +273,7 @@ class ShardedQueue:
         if src.status is not ProcletStatus.RUNNING or src.length < 2:
             return None
         ledger = self.qs.runtime.reshard_ledger
-        op = ledger.begin("split", self, src.id, driver="legacy")
+        op = ledger.begin("split", self, src.id)
         tr = self.qs.sim.tracer
         span = None
         if tr is not None:
@@ -327,7 +335,7 @@ class ShardedQueue:
         if tr is not None:
             tr.end(span, moved_bytes=int(nbytes), dst=dst.name,
                    new=new.name)
-        return new_ref
+        return None, new_ref
 
     def wants_merge(self, proclet_id: int) -> bool:
         if len(self.shards) <= self._initial_shards:
@@ -335,7 +343,7 @@ class ShardedQueue:
         shard = self._ref_by_id(proclet_id)
         return shard is not None and shard.proclet.length == 0
 
-    def merge_shard_by_id(self, proclet_id: int):
+    def reshard_merge_by_id(self, proclet_id: int):
         shard = self._ref_by_id(proclet_id)
         if shard is None or len(self.shards) <= self._initial_shards:
             return None
@@ -348,7 +356,7 @@ class ShardedQueue:
                 or all(s is shard for s in self.shards):
             return None
         ledger = self.qs.runtime.reshard_ledger
-        op = ledger.begin("merge", self, src.id, driver="legacy")
+        op = ledger.begin("merge", self, src.id)
         tr = self.qs.sim.tracer
         span = None
         if tr is not None:
@@ -417,20 +425,6 @@ class ShardedQueue:
             tr.end(span, moved_bytes=int(nbytes),
                    survivor=survivor.name)
         return True
-
-    # -- autoscaler protocol --------------------------------------------------
-    # The queue's own split/merge already follow the crash-safe shape the
-    # two-phase protocol formalises (gate, build fully before publishing,
-    # rollback into a surviving source), so the autoscaler drives them
-    # directly instead of the range-map protocol in
-    # :mod:`repro.autoscale.reshard` (queues have no key ranges).
-    def reshard_split_by_id(self, proclet_id: int,
-                            driver: str = "autoscale"):
-        return self.split_shard_by_id(proclet_id)
-
-    def reshard_merge_by_id(self, proclet_id: int,
-                            driver: str = "autoscale"):
-        return self.merge_shard_by_id(proclet_id)
 
     def _ref_by_id(self, proclet_id: int):
         for ref in self.shards:

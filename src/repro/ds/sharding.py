@@ -2,9 +2,11 @@
 
 Partitions a keyed collection into disjoint key ranges, each stored in
 its own memory proclet, with an index proclet holding the routing table.
-The :class:`ShardSizeController` keeps shards inside the configured size
-band by asking the structure to split oversized shards and merge
-undersized ones; users never see shard boundaries.
+The :class:`~repro.core.splitmerge.ShardSizeController` keeps shards
+inside the configured size band by asking the structure to split
+oversized shards and merge undersized ones through the two-phase
+protocol in :mod:`repro.autoscale.reshard`; users never see shard
+boundaries.
 """
 
 from __future__ import annotations
@@ -253,27 +255,26 @@ class ShardedBase:
         """Multiset of machines hosting shards (placement diagnostics)."""
         return [s.ref.machine for s in self.shards]
 
-    # -- split/merge callbacks (driven by ShardSizeController) ---------------------
-    def split_shard_by_id(self, proclet_id: int):
-        """Split the named shard; returns the split's completion event or
-        ``None`` when the shard is gone/busy."""
-        idx = self._find_by_id(proclet_id)
-        if idx is None:
-            return None
-        shard = self.shards[idx]
-        ev = self.qs.split_memory(shard.ref)
-        ev.subscribe(lambda e: self._on_split_done(e))
-        return ev
+    # -- reshard interface (two-phase protocol, §3.3) -----------------------------
+    def reshard_split_by_id(self, proclet_id: int):
+        """Split the named shard through the crash-safe two-phase
+        protocol (prepare → commit → cleanup, rollback on machine
+        failure at any phase); the routing table flips atomically inside
+        the protocol.  Returns the completion event (value
+        ``(split_key, child_ref)`` or ``None`` when declined/aborted),
+        or ``None`` when the shard is unknown."""
+        from ..autoscale.reshard import reshard_split
 
-    def _on_split_done(self, event) -> None:
-        if not event.ok:
-            raise event.value
-        result = event.value
-        if result is None:
-            return  # split was declined (no room anywhere)
-        split_key, new_ref = result
-        new_ref.proclet.shard_owner = self
-        self._insert_shard(Shard(lo=split_key, ref=new_ref))
+        return reshard_split(self, proclet_id)
+
+    def reshard_merge_by_id(self, proclet_id: int):
+        """Merge the named shard into its preferred neighbour through
+        the two-phase protocol.  Returns the completion event (value
+        ``True`` or ``None``), or ``None`` when there is nothing to
+        merge."""
+        from ..autoscale.reshard import reshard_merge
+
+        return reshard_merge(self, proclet_id)
 
     def wants_merge(self, proclet_id: int) -> bool:
         """Policy hook: may this undersized shard merge into a neighbour?"""
@@ -304,27 +305,6 @@ class ShardedBase:
             return self.shards[idx + 1]
         return None
 
-    def merge_shard_by_id(self, proclet_id: int):
-        """Merge the named shard into a neighbour; returns the completion
-        event or ``None``."""
-        idx = self._find_by_id(proclet_id)
-        if idx is None or len(self.shards) < 2:
-            return None
-        shard = self.shards[idx]
-        partner = self._merge_partner(idx)
-        if partner is None:
-            return None
-        ev = self.qs.merge_memory(partner.ref, shard.ref)
-        ev.subscribe(lambda e: self._on_merge_done(e, shard, partner))
-        return ev
-
-    def _on_merge_done(self, event, shard: Shard, partner: Shard) -> None:
-        if not event.ok:
-            raise event.value
-        if event.value is None:
-            return  # merge was declined; leave the routing untouched
-        self._absorb_shard(shard, partner)
-
     def _absorb_shard(self, shard: Shard, partner: Shard) -> None:
         """Retire merged-away *shard*; survivor *partner* absorbs its
         range.  When the merged shard sat to the survivor's LEFT
@@ -336,28 +316,6 @@ class ShardedBase:
             partner.lo = shard.lo
             self._los[partner_idx] = shard.lo
         self._remove_shard(shard)
-
-    # -- two-phase reshard protocol (autoscaler-driven) ----------------------------
-    def reshard_split_by_id(self, proclet_id: int,
-                            driver: str = "autoscale"):
-        """Split the named shard through the crash-safe two-phase
-        protocol (prepare → commit → cleanup, rollback on machine
-        failure at any phase).  Unlike :meth:`split_shard_by_id`, the
-        routing table flips atomically inside the protocol — there is
-        no completion-subscriber window where the child is live but
-        unrouted.  Returns the completion event or ``None``."""
-        from ..autoscale.reshard import reshard_split
-
-        return reshard_split(self, proclet_id, driver=driver)
-
-    def reshard_merge_by_id(self, proclet_id: int,
-                            driver: str = "autoscale"):
-        """Merge the named shard into its preferred neighbour through
-        the two-phase protocol.  Returns the completion event or
-        ``None``."""
-        from ..autoscale.reshard import reshard_merge
-
-        return reshard_merge(self, proclet_id, driver=driver)
 
     # -- teardown -----------------------------------------------------------------------
     def destroy(self) -> None:

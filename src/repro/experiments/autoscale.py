@@ -3,8 +3,10 @@
 Two questions, per the robustness milestone:
 
 1. **Parity** — on the Fig. 2 preprocessing pipeline, replacing the
-   legacy heap-change :class:`~repro.core.splitmerge.ShardSizeController`
-   with the sampling :class:`~repro.autoscale.ShardAutoscaler` must not
+   hand-tuned heap-change
+   :class:`~repro.core.splitmerge.ShardSizeController` (the "legacy"
+   columns) with the sampling :class:`~repro.autoscale.ShardAutoscaler`
+   as the trigger of the same two-phase reshard protocol must not
    slow completion beyond a small constant (the golden tests pin the
    1.25x ceiling from the issue).  Both controllers share their size
    predicates (:mod:`repro.autoscale.policy`), so any gap is pure

@@ -215,6 +215,27 @@ class TestObserverPathDetection:
             qs.run(until=0.05)
         assert checker.derivations < checker.checks
 
+    def test_destroyed_shard_under_a_reshard_op(self, qs):
+        # Every reshard retires a shard from the routing table before
+        # destroying it, so an active ledger op on the shard does not
+        # excuse a destroyed table entry: only a lost one is legal.
+        checker = checked(qs)
+        ds = qs.sharded_map(name="kv")
+        ticks(qs)
+        shard_ref = ds.shards[0].ref
+
+        def destroy_under_op():
+            qs.runtime.reshard_ledger.begin("merge", ds,
+                                            shard_ref.proclet_id)
+            qs.runtime.destroy(shard_ref)
+
+        qs.sim.call_at(0.01, destroy_under_op)
+        with pytest.raises(InvariantViolation,
+                           match=r"^t=0\.010000s: kv: routing table entry "
+                                 r"#\d+ is destroyed but not lost"):
+            qs.run(until=0.05)
+        assert checker.derivations < checker.checks
+
     def test_checkpoint_ledger_edit(self):
         qs = make_qs(
             machines=[MachineSpec(name=f"m{i}", cores=4, dram_bytes=4 * GiB)

@@ -73,26 +73,30 @@ class TestSchedulerSwitches:
 
 
 class TestSplitMergeEdges:
-    def test_split_memory_on_busy_proclet_returns_none(self, qs_quiet):
+    def test_split_on_busy_shard_returns_none(self, qs_quiet):
         qs = qs_quiet
-        ref = qs.spawn_memory(machine=qs.machines[0])
+        m = qs.sharded_map(name="kv", initial_machine=qs.machines[0])
         for i in range(8):
-            qs.run(until_event=ref.call("mp_put", i, 1 * MiB, None))
-        first = qs.split_memory(ref)
-        second = qs.split_memory(ref)  # starts while first holds the gate
+            qs.run(until_event=m.put(i, None, 1 * MiB))
+        pid = m.shards[0].ref.proclet_id
+        first = m.reshard_split_by_id(pid)
+        second = m.reshard_split_by_id(pid)  # starts while first gates
         r1 = qs.run(until_event=first)
         r2 = qs.run(until_event=second)
         outcomes = [r1, r2]
         assert sum(1 for r in outcomes if r is not None) == 1
+        assert m.shard_count == 2
 
-    def test_merge_with_self_nonsensical_but_safe(self, qs_quiet):
+    def test_merge_without_partner_is_declined(self, qs_quiet):
         qs = qs_quiet
-        a = qs.spawn_memory(machine=qs.machines[0])
-        qs.run(until_event=a.call("mp_put", 1, 1024, None))
-        # merging a proclet into itself: blocked by the gate logic
-        result = qs.run(until_event=qs.merge_memory(a, a))
-        # Either declined or degenerate-success; the proclet must survive.
-        assert a.proclet.object_count >= 1 or result is None
+        m = qs.sharded_map(name="kv", initial_machine=qs.machines[0])
+        qs.run(until_event=m.put(1, None, 1024))
+        # A lone shard has no neighbour to merge into: nothing starts,
+        # and the shard survives.
+        assert m.reshard_merge_by_id(m.shards[0].ref.proclet_id) is None
+        assert m.shard_count == 1
+        assert m.shards[0].proclet.object_count == 1
+        assert qs.runtime.reshard_ledger.counters["merge_started"] == 0
 
     def test_compute_split_preserves_source_object(self, qs_quiet):
         qs = qs_quiet

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import MemoryProclet, Proclet
+from repro.cluster import OutOfMemory
 from repro.core.memproclet import DistPtr
 from repro.units import KiB, MiB
 
@@ -143,6 +144,21 @@ class TestSplitPrimitives:
         ref = qs.spawn_memory()
         with pytest.raises(ValueError):
             ref.proclet.key_range()
+
+    def test_put_that_runs_out_of_dram_changes_nothing(self, qs):
+        """A put whose allocation fails leaves keys, objects and heap as
+        they were, so the shard can still be split afterwards."""
+        ref = self._filled(qs, n=4)
+        p = ref.proclet
+        machine = ref.machine
+        machine.memory.reserve(machine.memory.free - 1 * MiB)
+        for key, size in ((9, 4 * MiB), (2, 8 * MiB)):  # insert, overwrite
+            with pytest.raises(OutOfMemory):
+                run(qs, ref.call("mp_put", key, size, "too-big"))
+            assert p.keys == sorted(p._objects) == [0, 1, 2, 3]
+            assert p.heap_bytes == 4 * MiB
+        assert run(qs, ref.call("mp_get", 2)) == "v2"
+        assert p.split_point() == 2
 
 
 class TestDistPtr:

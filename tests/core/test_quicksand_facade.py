@@ -73,50 +73,70 @@ class TestPlacement:
         assert ref.machine is m0
 
 
+def _filled_map(qs, n=16, size=1 * MiB, machine=None):
+    """A one-shard map holding keys ``0..n-1`` of *size* bytes each."""
+    m = qs.sharded_map(name="kv", initial_machine=machine)
+    for k in range(n):
+        qs.sim.run(until_event=m.put(k, f"v{k}", size))
+    return m
+
+
+def _split(qs, m, idx=0):
+    return qs.sim.run(until_event=m.reshard_split_by_id(
+        m.shards[idx].ref.proclet_id))
+
+
+def _crowd(machine, leave):
+    """Reserve *machine*'s DRAM until only *leave* bytes stay free, which
+    steers (or denies) child-shard placement."""
+    machine.memory.reserve(machine.memory.free - leave)
+
+
 class TestSplitMemory:
-    def _filled_shard(self, qs, n=16, size=1 * MiB, machine=None):
-        ref = qs.spawn_memory(machine=machine)
-        for k in range(n):
-            qs.sim.run(until_event=ref.call("mp_put", k, size, f"v{k}"))
-        return ref
+    """Memory shards split through the two-phase reshard protocol."""
 
     def test_split_halves_bytes(self, qs):
-        ref = self._filled_shard(qs, n=16)
-        result = qs.sim.run(until_event=qs.split_memory(ref))
-        split_key, new_ref = result
-        assert ref.proclet.heap_bytes == pytest.approx(8 * MiB)
+        m = _filled_map(qs, n=16)
+        split_key, new_ref = _split(qs, m)
+        assert m.shards[0].proclet.heap_bytes == pytest.approx(8 * MiB)
         assert new_ref.proclet.heap_bytes == pytest.approx(8 * MiB)
         assert split_key == 8
+        assert m.shards[1].ref is new_ref
         assert qs.splits == 1
 
     def test_split_preserves_all_objects(self, qs):
-        ref = self._filled_shard(qs, n=10)
-        _key, new_ref = qs.sim.run(until_event=qs.split_memory(ref))
-        total = ref.proclet.object_count + new_ref.proclet.object_count
+        m = _filled_map(qs, n=10)
+        old_ref = m.shards[0].ref
+        split_key, new_ref = _split(qs, m)
+        total = old_ref.proclet.object_count + new_ref.proclet.object_count
         assert total == 10
-        # and every key readable from the right shard
+        # and every key readable, from the right shard
         for k in range(10):
-            target = new_ref if k >= _key else ref
-            v = qs.sim.run(until_event=target.call("mp_get", k))
-            assert v == f"v{k}"
+            target = new_ref if k >= split_key else old_ref
+            assert qs.sim.run(until_event=target.call("mp_get", k)) \
+                == f"v{k}"
+            assert qs.sim.run(until_event=m.get(k)) == f"v{k}"
 
     def test_split_blocks_invocations_until_done(self, qs):
-        ref = self._filled_shard(qs, n=64, size=1 * MiB,
-                                 machine=qs.machines[0])
-        # Force the new half to the other machine so the transfer is slow
+        m0, m1 = qs.machines
+        m = _filled_map(qs, n=64, machine=m0)
+        # Crowd m0 so the new half goes to m1 and the transfer is slow
         # enough to observe the gate.
-        split_ev = qs.split_memory(ref, dst=qs.machines[1])
+        _crowd(m0, 1 * GiB)
+        donor = m.shards[0].ref
+        split_ev = m.reshard_split_by_id(donor.proclet_id)
         qs.sim.run(until=qs.sim.now + 150e-6)  # inside the split window
-        assert ref.proclet.status is ProcletStatus.MIGRATING
-        read = ref.call("mp_get", 0)
+        assert donor.proclet.status is ProcletStatus.MIGRATING
+        read = m.get(0)
         assert not read.triggered
-        qs.sim.run(until_event=split_ev)
-        qs.sim.run(until_event=read)  # unblocked after split
+        _key, new_ref = qs.sim.run(until_event=split_ev)
+        assert new_ref.machine is m1
+        assert qs.sim.run(until_event=read) == "v0"  # unblocked
 
     def test_split_too_small_returns_none(self, qs):
-        ref = qs.spawn_memory()
-        qs.sim.run(until_event=ref.call("mp_put", 1, 10, None))
-        assert qs.sim.run(until_event=qs.split_memory(ref)) is None
+        m = _filled_map(qs, n=1, size=10)
+        assert _split(qs, m) is None
+        assert m.shard_count == 1
 
     def test_split_in_place_when_cluster_is_tight(self):
         """With one nearly-full machine the split still succeeds locally:
@@ -125,51 +145,63 @@ class TestSplitMemory:
             MachineSpec(name="only", cores=4, dram_bytes=1 * GiB),
         ], enable_local_scheduler=False, enable_global_scheduler=False,
             enable_split_merge=False)
-        ref = qs.spawn_memory()
-        for k in range(8):
-            qs.sim.run(until_event=ref.call("mp_put", k, 64 * MiB, None))
-        m = qs.machines[0]
-        m.memory.reserve(m.memory.free - 1 * MiB)
-        split_key, new_ref = qs.sim.run(until_event=qs.split_memory(ref))
-        assert new_ref.machine is m
-        assert ref.proclet.object_count + new_ref.proclet.object_count == 8
+        m = _filled_map(qs, n=8, size=64 * MiB)
+        only = qs.machines[0]
+        _crowd(only, 1 * MiB)
+        split_key, new_ref = _split(qs, m)
+        assert new_ref.machine is only
+        assert sum(s.proclet.object_count for s in m.shards) == 8
 
     def test_split_to_full_destination_undoes(self, qs):
-        ref = self._filled_shard(qs, n=8, machine=qs.machines[0])
-        m1 = qs.machines[1]
-        m1.memory.reserve(m1.memory.free - 1 * KiB)
-        result = qs.sim.run(until_event=qs.split_memory(ref, dst=m1))
-        assert result is None
-        assert ref.proclet.object_count == 8
-        assert ref.proclet.status is ProcletStatus.RUNNING
+        m0, m1 = qs.machines
+        m = _filled_map(qs, n=8, machine=m0)
+        # Neither machine can take the upper half plus a shard's base
+        # footprint, even counting the bytes the split frees on m0.
+        _crowd(m0, 1 * KiB)
+        _crowd(m1, 1 * MiB)
+        donor = m.shards[0].ref
+        assert _split(qs, m) is None
+        assert m.shard_count == 1
+        assert donor.proclet.object_count == 8
+        assert donor.proclet.status is ProcletStatus.RUNNING
+        assert qs.runtime.reshard_ledger.counters["split_aborted"] == 1
+        assert qs.sim.run(until_event=m.get(7)) == "v7"
 
 
 class TestMergeMemory:
+    def _two_shards(self, qs, n=8, size=100 * KiB):
+        """A map split once, its two shards on different machines."""
+        m0, m1 = qs.machines
+        m = _filled_map(qs, n=n, size=size, machine=m0)
+        m0.memory.reserve(1 * GiB)  # the child goes to m1
+        assert _split(qs, m) is not None
+        m0.memory.release(1 * GiB)
+        left, right = m.shards
+        assert (left.ref.machine, right.ref.machine) == (m0, m1)
+        return m, left, right
+
     def test_merge_moves_objects_and_destroys_source(self, qs):
-        a = qs.spawn_memory(machine=qs.machines[0])
-        b = qs.spawn_memory(machine=qs.machines[1])
-        for k in range(4):
-            qs.sim.run(until_event=a.call("mp_put", k, 100 * KiB, k))
-        for k in range(4, 8):
-            qs.sim.run(until_event=b.call("mp_put", k, 100 * KiB, k))
-        ok = qs.sim.run(until_event=qs.merge_memory(a, b))
+        m, left, right = self._two_shards(qs)
+        ok = qs.sim.run(until_event=m.reshard_merge_by_id(
+            right.ref.proclet_id))
         assert ok is True
-        assert a.proclet.object_count == 8
+        assert m.shard_count == 1
+        assert left.proclet.object_count == 8
         assert qs.merges == 1
         from repro.runtime import DeadProclet
 
         with pytest.raises(DeadProclet):
-            qs.sim.run(until_event=b.call("mp_get", 4))
+            qs.sim.run(until_event=right.ref.call("mp_get", 7))
+        assert qs.sim.run(until_event=m.get(7)) == "v7"
 
     def test_merge_declined_when_destination_full(self, qs):
-        a = qs.spawn_memory(machine=qs.machines[0])
-        b = qs.spawn_memory(machine=qs.machines[1])
-        qs.sim.run(until_event=b.call("mp_put", 0, 100 * MiB, None))
-        m0 = qs.machines[0]
-        m0.memory.reserve(m0.memory.free - 1 * MiB)
-        result = qs.sim.run(until_event=qs.merge_memory(a, b))
+        m, left, right = self._two_shards(qs, size=8 * MiB)
+        _crowd(left.ref.machine, 1 * MiB)
+        result = qs.sim.run(until_event=m.reshard_merge_by_id(
+            right.ref.proclet_id))
         assert result is None
-        assert b.proclet.object_count == 1
+        assert m.shard_count == 2
+        assert right.proclet.object_count == 4
 
 
 class TestSplitCompute:

@@ -146,8 +146,8 @@ class TestBurstAbsorption:
         qs.sim.run(until_event=q2.call("qp_push", 1 * KiB, "survive-me"))
         # Merge q0 first (its survivor is q1), then q2 — whose survivor,
         # chosen naively up front, would be the soon-to-be-destroyed q0.
-        ev0 = q.merge_shard_by_id(q0.proclet_id)
-        ev2 = q.merge_shard_by_id(q2.proclet_id)
+        ev0 = q.reshard_merge_by_id(q0.proclet_id)
+        ev2 = q.reshard_merge_by_id(q2.proclet_id)
         qs.sim.run(until_event=qs.sim.all_of([ev0, ev2]))
         assert q.shard_count == 1
         assert all(s.proclet.status is ProcletStatus.RUNNING

@@ -12,6 +12,10 @@ the report:
 * Fig. 3 — the training pool adapts to every GPU up/down toggle and
   returns to equilibrium latency.
 
+The Fig. 2 and Fig. 3 results are also pinned by literal digests of the
+same fixtures: a change that moves either trajectory must re-pin them
+deliberately.
+
 The bands are deliberately generous around the measured values (see
 EXPERIMENTS.md) — tight enough to catch a broken mechanism, loose
 enough to survive benign scheduling-order changes.
@@ -20,6 +24,7 @@ enough to survive benign scheduling-order changes.
 import pytest
 
 from repro.apps.dnn import DatasetSpec
+from repro.exec.engine import results_digest
 from repro.experiments.fig1_filler import Fig1Config, run_fig1
 from repro.experiments.fig2_imbalance import run_fig2
 from repro.experiments.fig3_gpu_adapt import Fig3Config, run_fig3
@@ -87,6 +92,10 @@ class TestFig2GoldenShape:
             "baseline", "cpu-unbalanced", "mem-unbalanced",
             "both-unbalanced"}
 
+    def test_results_digest_pinned(self, fig2_rows):
+        assert results_digest(fig2_rows) == (
+            "837c9208d5a86b61feff4b4194e4c3f1925af355a162c5b8c14f6e10dc9db4ff")
+
     def test_imbalance_did_not_speed_things_up(self, fig2_rows):
         # Sanity on the sanity check: an "unbalanced faster than
         # balanced" result means the baseline regressed, not that
@@ -108,3 +117,7 @@ class TestFig3GoldenShape:
     def test_gpus_stay_busy(self, fig3_result):
         assert fig3_result.gpu_idle_fraction < 0.10
         assert fig3_result.batches_trained > 0
+
+    def test_results_digest_pinned(self, fig3_result):
+        assert results_digest([fig3_result]) == (
+            "8d5d09d3e98ac9f10c9fef2ecc853d57977eca6839f01139fa7a0b403aa93ef4")
