@@ -53,20 +53,3 @@ def test_fig1_fungible_vs_static(benchmark):
     record_report("FIG1", report(fungible, static))
     benchmark.extra_info["fungible_over_static"] = ratio
 
-
-def test_fig1_seed_robustness(benchmark):
-    """The Fig. 1 shape must not depend on the seed."""
-
-    def run_seeds():
-        out = []
-        for seed in (0, 1, 2):
-            f = run_fig1(Fig1Config(fungible=True, duration=60 * MS,
-                                    seed=seed))
-            s = run_fig1(Fig1Config(fungible=False, duration=60 * MS,
-                                    seed=seed))
-            out.append((f.mean_goodput_cores, s.mean_goodput_cores))
-        return out
-
-    results = benchmark.pedantic(run_seeds, rounds=1, iterations=1)
-    for fungible, static in results:
-        assert fungible > 1.6 * static

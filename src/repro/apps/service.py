@@ -75,17 +75,19 @@ class LatencyService:
             yield sim.timeout(self.rng.expovariate(self.arrival_rate))
             if not self._running:
                 return
-            sim.process(self._serve(sim.now), name=f"{self.name}.req")
+            item = self.machine.cpu.run(
+                work=self.service_cpu, threads=1.0,
+                priority=Priority.HIGH, name=f"{self.name}.req")
+            item.done.subscribe(self._on_done)
 
-    def _serve(self, arrived_at: float) -> Generator:
-        sim = self.machine.sim
-        item = self.machine.cpu.run(
-            work=self.service_cpu, threads=1.0,
-            priority=Priority.HIGH, name=f"{self.name}.req",
-        )
-        yield item.done
-        self.requests_done += 1
-        self.samples.append((arrived_at, sim.now - arrived_at))
+    def _on_done(self, done) -> None:
+        if done.ok:
+            # Submitted at arrival and never moved: that is the arrival.
+            arrived = done.value.submitted_at
+            self.requests_done += 1
+            self.samples.append((arrived, self.machine.sim.now - arrived))
+        elif not isinstance(done.value, MachineFailed):
+            raise done.value  # a crash loses the request, uncounted
 
     def latency_summary(self, since: float = 0.0) -> Summary:
         """Summary of response times for requests arriving at or after
@@ -219,7 +221,7 @@ class CloneService:
             if not self._running:
                 return
             group = self.groups[self.rng_route.randrange(len(self.groups))]
-            sim.process(self._serve(group, sim.now), name=f"{self.name}.req")
+            _CloneSet(self, group, sim.now)
 
     # -- request path -----------------------------------------------------
     def _acquire_extra(self) -> bool:
@@ -232,78 +234,105 @@ class CloneService:
         self._budget_in_use += 1
         return True
 
-    def _launch(self, server: Machine, items: List) -> None:
-        draw = self.service_dist.sample(self.rng_service)
-        cores = server.cpu.cores
-        item = server.cpu.run(work=draw * cores, threads=cores,
-                              priority=self.priority,
-                              name=f"{self.name}.req")
-        items.append((server, item))
-        self.clones_launched += 1
-
-    def _serve(self, group: Sequence[Machine], arrived_at: float) -> Generator:
-        sim = self.sim
-        items: List = []
-        extras = 0
-        self._launch(group[0], items)
-        hedging = self.hedge_after is not None
-        if not hedging:
-            for server in group[1:]:
-                if not self._acquire_extra():
-                    break
-                extras += 1
-                self._launch(server, items)
-        budget_blocked = False
-        winner = None
-        try:
-            while True:
-                for _server, item in items:
-                    if item.done.triggered and item.done.ok:
-                        winner = item
-                        break
-                if winner is not None:
-                    break
-                live = [item.done for _server, item in items
-                        if not item.done.triggered]
-                if not live:
-                    self.failed_requests += 1  # every clone crashed
-                    return
-                want_hedge = (hedging and not budget_blocked
-                              and len(items) < len(group))
-                if want_hedge:
-                    timer = sim.timeout(self.hedge_after)
-                    try:
-                        yield sim.any_of(live + [timer])
-                    except MachineFailed:
-                        continue  # a clone died; re-wait on the rest
-                    finally:
-                        if not timer.processed:
-                            sim.cancel(timer)  # tombstoned, not leaked
-                    if timer.processed and not any(
-                            item.done.triggered for _s, item in items):
-                        if self._acquire_extra():
-                            extras += 1
-                            self.hedges_fired += 1
-                            self._launch(group[len(items)], items)
-                        else:
-                            budget_blocked = True
-                else:
-                    try:
-                        yield sim.any_of(live)
-                    except MachineFailed:
-                        continue
-            self.requests_done += 1
-            self.samples.append((arrived_at, sim.now - arrived_at))
-        finally:
-            # First-finished-wins: reclaim every losing clone's CPU at
-            # this virtual instant (and release the budget units).
-            for server, item in items:
-                if item is not winner and item.active:
-                    server.cpu.release(item)
-                    self.clones_cancelled += 1
-            self._budget_in_use -= extras
-
     def __repr__(self) -> str:
         return (f"<CloneService {self.name!r} n={len(self.machines)} "
                 f"c={self.clone_factor} rate={self.arrival_rate:g}/s "
                 f"rho={self.offered_load:.2f}>")
+
+
+class _CloneSet:
+    """One request's clones, driven by their ``done`` callbacks and a
+    hedge decision one hop after the timer (see docs/cloning.md)."""
+
+    __slots__ = ("svc", "group", "arrived_at", "items", "tried",
+                 "budget_blocked", "timer", "listening")
+
+    def __init__(self, svc: CloneService, group: Sequence[Machine],
+                 arrived_at: float):
+        self.svc = svc
+        self.group = group
+        self.arrived_at = arrived_at
+        self.items: List[Tuple[Machine, object]] = []
+        self.tried = 0  # servers of the group used; extras = tried - 1
+        self.budget_blocked = False
+        self.timer = None
+        self.listening = True  # off while a hedge hop is pending, and at end
+        self._launch(group[0])
+        if svc.hedge_after is None:
+            for server in group[1:]:
+                if not svc._acquire_extra():
+                    break
+                self._launch(server)
+        self._step()
+
+    def _launch(self, server: Machine) -> None:
+        svc = self.svc
+        draw = svc.service_dist.sample(svc.rng_service)
+        self.tried += 1
+        cores = server.cpu.cores
+        if cores <= 0:
+            return  # the server is down: the clone is lost at once
+        item = server.cpu.run(work=draw * cores, threads=cores,
+                              priority=svc.priority, name=f"{svc.name}.req")
+        item.done.subscribe(self._on_clone)
+        self.items.append((server, item))
+        svc.clones_launched += 1
+
+    def _step(self) -> None:
+        """Finish on the first finished clone (launch order), fail once
+        every clone crashed, else arm the hedge timer if one is wanted."""
+        live = False
+        for _server, item in self.items:
+            if not item.done.triggered:
+                live = True
+            elif item.done.ok:
+                self._finish(item)
+                return
+        svc = self.svc
+        if not live:
+            svc.failed_requests += 1  # every clone was lost to a crash
+            self._finish(None)
+        elif (svc.hedge_after is not None and not self.budget_blocked
+              and self.tried < len(self.group)):
+            self.timer = svc.sim.timeout(svc.hedge_after)
+            self.timer.subscribe(self._on_timer)
+
+    def _on_clone(self, done) -> None:
+        if not done.ok and not isinstance(done.value, MachineFailed):
+            raise done.value  # only a crash is absorbed by the siblings
+        if not self.listening:
+            return
+        if self.timer is not None:
+            self.svc.sim.cancel(self.timer)  # re-armed from now if wanted
+        self._step()
+
+    def _on_timer(self, _timer) -> None:
+        # Decide one hop later, after completions due at this instant.
+        self.listening = False
+        self.svc.sim.timeout(0.0).subscribe(self._on_hop)
+
+    def _on_hop(self, _hop) -> None:
+        self.listening = True
+        svc = self.svc
+        if not any(item.done.triggered for _server, item in self.items):
+            if svc._acquire_extra():
+                svc.hedges_fired += 1
+                self._launch(self.group[self.tried])
+            else:
+                self.budget_blocked = True
+        self._step()
+
+    def _finish(self, winner) -> None:
+        """Release every losing clone and the budget units, now."""
+        self.listening = False
+        svc = self.svc
+        if winner is not None:
+            svc.requests_done += 1
+            svc.samples.append((self.arrived_at,
+                                svc.sim.now - self.arrived_at))
+        for server, item in self.items:
+            if item is not winner and item.active:
+                server.cpu.release(item)
+                svc.clones_cancelled += 1
+        svc._budget_in_use -= self.tried - 1
+        self.items = []  # losers' callbacks point back here: no cycle

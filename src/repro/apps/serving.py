@@ -159,8 +159,8 @@ class Tenant:
         self.window_arrivals = 0
         #: EWMA of core demand (rate x service_mean), seeded analytically.
         self.demand_ewma = spec.trace.base_rate * spec.service_mean
-        #: In-flight FluidItems (starvation invariant inspects rates).
-        self.active_items: set = set()
+        #: In-flight FluidItems by ``done`` event (starvation check).
+        self.active_items: Dict = {}
         # Post-warmup counter baselines, set by the warmup marker.
         self._base: Dict[str, int] = {}
 
@@ -201,25 +201,23 @@ class Tenant:
             self.inflight += 1
             _ref, proclet = live[self._rr % len(live)]
             self._rr += 1
-            sim.process(self._serve(proclet, sim.now),
-                        name=f"{self.spec.name}.req")
+            draw = self.rng_service.expovariate(1.0 / self.spec.service_mean)
+            item = proclet.machine.cpu.run(work=draw, threads=1.0,
+                                           priority=Priority.HIGH,
+                                           name=f"{self.spec.name}.req")
+            self.active_items[item.done] = item
+            item.done.subscribe(self._on_done)
 
-    def _serve(self, proclet: ServingReplica,
-               arrived_at: float) -> Generator:
-        machine = proclet.machine
-        draw = self.rng_service.expovariate(1.0 / self.spec.service_mean)
-        item = machine.cpu.run(work=draw, threads=1.0,
-                               priority=Priority.HIGH,
-                               name=f"{self.spec.name}.req")
-        self.active_items.add(item)
-        try:
-            yield item.done
-        except MachineFailed:
+    def _on_done(self, done) -> None:
+        item = self.active_items.pop(done)
+        self.inflight -= 1
+        if not done.ok:
+            if not isinstance(done.value, MachineFailed):
+                raise done.value
             self.failed += 1
             return
-        finally:
-            self.active_items.discard(item)
-            self.inflight -= 1
+        # In-flight requests never move: submitted_at is the arrival.
+        arrived_at = item.submitted_at
         latency = self.sim.now - arrived_at
         self.completed += 1
         self.samples.append((arrived_at, latency))
@@ -613,7 +611,7 @@ class ServingScenario:
                 violations.append(
                     f"tenant {t.spec.name}: no live replicas")
             if t.inflight > 0 and t.active_items:
-                served = sum(item.rate for item in t.active_items
+                served = sum(item.rate for item in t.active_items.values()
                              if item.active)
                 if served <= 0.0:
                     violations.append(

@@ -86,5 +86,9 @@ class StarvationTracker:
     def is_starving_now(self, proclet_id: int) -> bool:
         return proclet_id in self._starved_since
 
+    @property
+    def any_starving(self) -> bool:
+        return bool(self._starved_since)
+
     def clear(self, proclet_id: int) -> None:
         self._starved_since.pop(proclet_id, None)

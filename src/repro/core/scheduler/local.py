@@ -43,6 +43,8 @@ class LocalScheduler:
 
     # -- CPU starvation path ------------------------------------------------
     def _on_cpu_reassign(self, sched) -> None:
+        if not self.starvation.any_starving and not sched.any_starved:
+            return  # the sweep would clear nothing and arm nothing
         now = self.qs.sim.now
         seen: Set[int] = set()
         for item in sched.items:

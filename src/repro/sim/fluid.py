@@ -386,6 +386,13 @@ class FluidScheduler:
         return len(self._items)
 
     @property
+    def any_starved(self) -> bool:
+        """Whether any attached item is :attr:`FluidItem.starved`."""
+        if self._dirty:
+            self._flush()
+        return any(it._rate <= _EPS for it in self._items)
+
+    @property
     def load(self) -> float:
         """Sum of current service rates (<= capacity).  Cached: O(1)."""
         if self._dirty:

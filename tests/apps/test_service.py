@@ -214,6 +214,74 @@ class TestCloneService:
         assert trimmed.count > 0
 
 
+def _step_until_in_flight(qs, machine, n):
+    while len(machine.cpu.sched) < n:
+        qs.sim.step()
+
+
+class TestRequestFailures:
+    """A crash is absorbed and counted; any other request failure
+    propagates out of the run instead of vanishing."""
+
+    def test_clone_failure_other_than_a_crash_is_loud(self):
+        qs = quiet_qs()
+        m0 = qs.machines[0]
+        svc = CloneService([m0], 2000.0, Deterministic(value=5 * MS))
+        svc.start()
+        _step_until_in_flight(qs, m0, 2)
+        m0.cpu.sched.fail_all(RuntimeError("clone lost"))
+        with pytest.raises(RuntimeError, match="clone lost"):
+            qs.run(until=0.1)
+
+    def test_latency_request_failure_other_than_a_crash_is_loud(self):
+        qs = quiet_qs()
+        m0 = qs.machines[0]
+        svc = LatencyService(m0, arrival_rate=2000.0, service_cpu=5 * MS)
+        svc.start()
+        _step_until_in_flight(qs, m0, 2)
+        m0.cpu.sched.fail_all(RuntimeError("request lost"))
+        with pytest.raises(RuntimeError, match="request lost"):
+            qs.run(until=0.1)
+
+    def test_crash_keeps_latency_requests_uncounted(self):
+        qs = quiet_qs()
+        m0 = qs.machines[0]
+        svc = LatencyService(m0, arrival_rate=2000.0, service_cpu=5 * MS)
+        svc.start()
+        _step_until_in_flight(qs, m0, 2)
+        done = svc.requests_done
+        qs.runtime.fail_machine(m0)
+        svc.stop()
+        qs.run(until=0.1)
+        assert svc.requests_done == done
+
+    def test_requests_routed_to_a_crashed_server_fail(self):
+        qs = quiet_qs()
+        m0, _m1 = qs.machines
+        svc = CloneService(qs.machines, 200.0, Exponential(mean=1 * MS))
+        svc.start()
+        qs.run(until=0.1)
+        qs.runtime.fail_machine(m0)
+        qs.run(until=0.3)
+        # Un-cloned requests routed to the dead m0 fail on arrival
+        # (about half of the ~40 post-crash arrivals).
+        assert svc.failed_requests >= 10
+
+    def test_survivor_serves_requests_whose_primary_is_down(self):
+        qs = quiet_qs()
+        m0, _m1 = qs.machines
+        svc = CloneService(qs.machines, 100.0, Exponential(mean=1 * MS),
+                           clone_factor=2)
+        svc.start()
+        qs.run(until=0.1)
+        qs.runtime.fail_machine(m0)
+        done = svc.requests_done
+        qs.run(until=0.3)
+        # ~20 arrivals after the crash, all served by m1 alone.
+        assert svc.requests_done - done >= 10
+        assert svc.failed_requests == 0
+
+
 class TestUnifiedLatencySummary:
     """Both services expose the same `since` (virtual-time) trimming
     contract."""

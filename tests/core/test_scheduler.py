@@ -5,7 +5,7 @@ import pytest
 from repro import MachineSpec, Task
 from repro.cluster import Priority
 from repro.core.scheduler import AffinityTracker, PlacementPolicy
-from repro.units import GiB, MS, MiB
+from repro.units import GiB, MS, MiB, US
 
 from ..conftest import make_qs
 
@@ -93,6 +93,30 @@ class TestLocalStarvationReaction:
         m1.cpu.release(h1)
         qs.sim.run(until=qs.sim.now + 5 * MS)
         assert ref.proclet.migrations <= 3
+
+    def test_released_hold_clears_the_starvation_interval(self):
+        """Nothing is starved any more but the tracker still holds the
+        proclet: the observer must run its full sweep to close it."""
+        qs = make_qs(enable_global_scheduler=False,
+                     enable_split_merge=False)
+        m0, _m1 = qs.machines
+        local = qs.local_schedulers[0]
+        ref = qs.spawn_compute(machine=m0)
+        ref.call("cp_submit", Task(work=100.0, done=qs.sim.event()))
+        qs.sim.run(until=2 * MS)
+        assert not local.starvation.any_starving
+        hold = m0.cpu.hold(threads=8.0, priority=Priority.HIGH)
+        # Shorter than the patience window: starved, but not moved yet.
+        qs.sim.run(until=qs.sim.now + 50 * US)
+        pid = ref.proclet.id
+        assert local.starvation.is_starving_now(pid)
+        m0.cpu.release(hold)
+        qs.sim.run(until=qs.sim.now + 50 * US)
+        assert not m0.cpu.sched.any_starved
+        assert not local.starvation.is_starving_now(pid)
+        assert not local.starvation.any_starving
+        qs.sim.run(until=qs.sim.now + 1 * MS)
+        assert ref.machine is m0 and ref.proclet.migrations == 0
 
 
 class TestLocalMemoryPressure:

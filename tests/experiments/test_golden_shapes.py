@@ -12,9 +12,9 @@ the report:
 * Fig. 3 — the training pool adapts to every GPU up/down toggle and
   returns to equilibrium latency.
 
-The Fig. 2 and Fig. 3 results are also pinned by literal digests of the
-same fixtures: a change that moves either trajectory must re-pin them
-deliberately.
+The Fig. 1, Fig. 2 and Fig. 3 results are also pinned by literal
+digests of the same fixtures: a change that moves any of these
+trajectories must re-pin them deliberately.
 
 The bands are deliberately generous around the measured values (see
 EXPERIMENTS.md) — tight enough to catch a broken mechanism, loose
@@ -75,6 +75,12 @@ class TestFig1GoldenShape:
         fungible, static = fig1_pair
         assert fungible.migrations >= 8
         assert static.migrations == 0
+
+    def test_results_digest_pinned(self, fig1_pair):
+        # Pins the LocalScheduler starvation path (observe, patience
+        # check, migrate) bit for bit.
+        assert results_digest(list(fig1_pair)) == (
+            "197412e61686b1a6cd2a15c197deaee6ed9164646579f6d6dee303ad742758e1")
 
 
 class TestFig2GoldenShape:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import FluidScheduler, Simulator, UnboundResource
 
@@ -262,6 +264,64 @@ class TestFailAll:
         item = sched.submit(work=1.0, demand=1.0)
         sim.run(until_event=item.done)
         assert item.done.ok
+
+
+_DEMANDS = st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0])
+_PRIOS = st.integers(0, 2)
+_PICK = st.integers(0, 63)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("submit"), st.floats(1e-3, 5.0), _DEMANDS, _PRIOS),
+    st.tuples(st.just("hold"), _DEMANDS, _PRIOS),
+    st.tuples(st.just("detach"), _PICK),
+    st.tuples(st.just("set_demand"), _PICK, _DEMANDS),
+    st.tuples(st.just("set_capacity"), st.sampled_from([0.0, 1.0, 2.5, 4.0])),
+    st.tuples(st.just("set_priority"), _PICK, _PRIOS),
+    st.tuples(st.just("advance"), st.floats(0.0, 2.0)),
+), max_size=40)
+
+
+class TestAnyStarved:
+    """``any_starved`` is the brute-force ``any(it.starved ...)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS)
+    def test_matches_brute_force(self, ops):
+        sim = Simulator()
+        sched = cpu(sim)
+
+        def pick(i):
+            attached = sched.items
+            return attached[i % len(attached)] if attached else None
+
+        def driver():
+            # Inside the event loop, so mutations stay coalesced (dirty)
+            # until a read flushes them.
+            for op in ops:
+                kind = op[0]
+                if kind == "advance":
+                    yield sim.timeout(op[1])
+                elif kind == "submit":
+                    sched.submit(work=op[1], demand=op[2], priority=op[3])
+                elif kind == "hold":
+                    sched.hold(demand=op[1], priority=op[2])
+                elif kind == "set_capacity":
+                    sched.set_capacity(op[1])
+                else:
+                    item = pick(op[1])
+                    if item is None:
+                        continue
+                    if kind == "detach":
+                        sched.detach(item)
+                    elif kind == "set_demand":
+                        sched.set_demand(item, op[2])
+                    else:
+                        sched.set_priority(item, op[2])
+                # any_starved first: it must flush on its own.
+                fast = sched.any_starved
+                assert fast == any(it.starved for it in sched.items), op
+
+        sim.run(until_event=sim.process(driver()))
+        assert sched.any_starved == any(it.starved for it in sched.items)
 
 
 class TestCoalescedReassignment:
