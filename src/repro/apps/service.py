@@ -314,7 +314,10 @@ class _CloneSet:
     def _on_hop(self, _hop) -> None:
         self.listening = True
         svc = self.svc
-        if not any(item.done.triggered for _server, item in self.items):
+        # Only a finished clone makes a hedge pointless; a crashed one
+        # leaves the request as exposed as before.
+        if not any(item.done.triggered and item.done.ok
+                   for _server, item in self.items):
             if svc._acquire_extra():
                 svc.hedges_fired += 1
                 self._launch(self.group[self.tried])

@@ -80,6 +80,9 @@ class ShardAutoscaler:
         self.op_failures = 0
         self._process = qs.sim.process(self._loop(),
                                        name="shard-autoscaler")
+        # Nobody waits on the detached loop: re-raise its failure out of
+        # Simulator.run instead of letting autoscaling stop silently.
+        self._process.subscribe(self._loop_done)
 
     def stop(self) -> None:
         self._stopped = True
@@ -120,7 +123,16 @@ class ShardAutoscaler:
         recovery = runtime.recovery
         inflight = len(ledger.active_for_structure(ds))
         m = self.qs.metrics
-        route_counts = getattr(ds, "route_counts", None)
+        cfg = self.config
+        # The route-rate EWMA is read only by the route-rate triggers.
+        route_counts = (getattr(ds, "route_counts", None)
+                        if cfg.max_route_rate is not None else None)
+        # With bytes the only trigger, _decide returns no action for a
+        # shard inside the size band; skip it before the (pure) busy,
+        # cool-down and restoring lookups.
+        bytes_only = (cfg.max_route_rate is None
+                      and cfg.max_shard_objects is None)
+        min_bytes, max_bytes = self.min_shard_bytes, self.max_shard_bytes
         for shard in list(ds.shards):
             # Range-sharded structures hold Shard entries (``.ref``);
             # the sharded queue holds proclet refs directly.
@@ -130,6 +142,9 @@ class ShardAutoscaler:
             proclet = runtime._proclets.get(pid)
             if proclet is None:
                 continue  # lost to a machine failure; recovery's problem
+            if bytes_only and policy.in_band(proclet.heap_bytes, min_bytes,
+                                             max_bytes):
+                continue
             if proclet.status is not ProcletStatus.RUNNING:
                 continue  # already gated by some op
             if pid in self._busy or now < self._cooldown_until.get(pid, 0.0):
@@ -217,6 +232,11 @@ class ShardAutoscaler:
                 and rate > 0.5 * cfg.max_route_rate:
             return False
         return True
+
+    @staticmethod
+    def _loop_done(event) -> None:
+        if not event.ok:
+            raise event.value
 
     # -- op settlement -------------------------------------------------------
     def _op_done(self, pid: int, event) -> None:

@@ -3,7 +3,7 @@
 Both the heap-change-driven
 :class:`~repro.core.splitmerge.ShardSizeController` and the
 :class:`~repro.autoscale.ShardAutoscaler` control loop decide through
-these three functions, so the two paths provably agree on what counts
+these functions, so the two paths provably agree on what counts
 as oversized/undersized (pinned by the fig2 decision-parity test).
 Import-free within the package: callable from anywhere without cycles.
 """
@@ -22,6 +22,12 @@ def oversized(heap_bytes: float, max_shard_bytes: float) -> bool:
 def undersized(heap_bytes: float, min_shard_bytes: float) -> bool:
     """Is this shard small enough to consider merging away?"""
     return heap_bytes < min_shard_bytes
+
+
+def in_band(heap_bytes: float, min_shard_bytes: float,
+            max_shard_bytes: float) -> bool:
+    """Neither oversized nor undersized: no byte-driven action."""
+    return min_shard_bytes <= heap_bytes <= max_shard_bytes
 
 
 def merge_fits(combined_bytes: float, max_shard_bytes: float,

@@ -34,7 +34,8 @@ from .differential import differential_task
 from .injector import ChaosInjector
 from .invariants import InvariantChecker, InvariantViolation
 from .oracle import Divergence, compare, max_min_rates, reference_rates
-from .scenario import ChaosConfig, ChaosResult, run_chaos, run_chaos_summary
+from .scenario import (ChaosConfig, ChaosResult, run_chaos, run_chaos_cell,
+                       run_chaos_summary)
 
 __all__ = [
     "ChaosConfig",
@@ -60,5 +61,6 @@ __all__ = [
     "max_min_rates",
     "reference_rates",
     "run_chaos",
+    "run_chaos_cell",
     "run_chaos_summary",
 ]

@@ -45,20 +45,33 @@ would perturb the run) and re-checked after the flush lands, which is
 always before virtual time advances.
 
 **Change-driven checking.**  :meth:`InvariantChecker.check` is the full
-derivation of every invariant.  The per-event observer path runs it
-only after events that changed its inputs: every write to state
-invariants 1, 2, 4–7 and 9 read either fires a listener the checker
-subscribes to when attached (DRAM ledgers, the locator, heap
-footprints) or bumps a version counter (``NuRuntime.state_version``,
-``ReshardLedger.version``).  When the summed version is unchanged since
-the last derivation, which passed, those invariants are pure functions
-of unchanged inputs and must pass again; only what can move without a
-write is re-checked — the gate timeout (against the oldest open gate,
-O(1)), clone hygiene (8), and fluid sanity (3) for the schedulers that
-reassigned or changed capacity or demand since their last check.  The
-verdict, and the message of the first violation, is therefore the same
-the full derivation would give at every event.  Any new write to
-checked state must go through a versioned mutator;
+derivation of every invariant.  The per-event observer path re-derives
+only what the writes since the last derivation can have moved.  Every
+write to state invariants 1, 2, 4-7 and 9 read is reported, in one of
+two input groups:
+
+* *structural* — the locator's listeners, ``NuRuntime.state_version``
+  and ``ReshardLedger.version``.  Any move runs the full derivation.
+* *DRAM* — the memory ledgers' listeners (reserve, release, wipe,
+  ballast) and ``NuRuntime.on_heap_change`` (footprints).  These feed
+  invariant 2 only, and each marks one machine: the ledger's own, or
+  the machine of the proclet whose heap changed.  When only this group
+  moved, invariant 2 is re-derived for the marked machines alone.
+
+Invariant 2 on one machine reads only that machine's ledger, ballast
+and up flag, its residents' footprints (all DRAM-group inputs, which
+mark it) and its residency set, in-flight and checkpoint reservations
+(structural inputs).  So a machine that is not marked, when no
+structural input moved since the last derivation (which passed), has
+unchanged inputs and passes again; the other skipped invariants are
+pure functions of unchanged inputs too.  On every event the checker
+also re-checks what moves without a write — the gate timeout (against
+the oldest open gate, O(1)), clone hygiene (8), and fluid sanity (3)
+for the schedulers that reassigned or changed capacity or demand since
+their last check — in the full sweep's order.  The verdict, and the
+message of the first violation, is therefore the same the full
+derivation would give at every event.  Any new write to checked state
+must go through a versioned mutator or a subscribed listener;
 ``tests/chaos/test_missed_hooks.py`` fails otherwise.
 
 On violation it raises :class:`InvariantViolation` from inside the event
@@ -97,9 +110,13 @@ class InvariantChecker:
         self.gate_timeout = gate_timeout
         self.checks = 0
         #: Full derivations run (:meth:`check` calls, and observed
-        #: events whose inputs changed); ``checks`` minus this is the
-        #: number of events the gated path settled without one.
+        #: events whose structural inputs changed); ``checks`` minus
+        #: this is the number of events the gated path settled without
+        #: one.
         self.derivations = 0
+        #: Observed events that re-derived invariant 2 for the machines
+        #: marked by DRAM-group writes only (no full derivation).
+        self.partial_derivations = 0
         self.events_seen = 0
         self.oracle_comparisons = 0
         # id(gate) -> first time the gate was seen closed.  Insertion
@@ -108,11 +125,15 @@ class InvariantChecker:
         # pid -> highest incarnation ever observed (must never regress).
         self._incarnation_seen: Dict[int, int] = {}
         self._attached_to = None
-        # Mutations reported by the subscribed listeners.
+        # Locator changes reported by the subscribed listener.
         self._hooked = 0
-        # Input version at the last passing full derivation (None:
-        # derive on the next observed event).
+        # Structural input version at the last passing full derivation
+        # (None: derive on the next observed event).
         self._derived_at: Optional[int] = None
+        # Ids of the machines whose DRAM-group inputs (ledger, ballast,
+        # up flag, resident footprints) moved since invariant 2 was
+        # last derived for them.
+        self._mem_marked: set = set()
         # Scheduler -> position in the full sweep's order; set when the
         # listeners are subscribed (first attach).
         self._sched_rank: Optional[Dict] = None
@@ -131,10 +152,12 @@ class InvariantChecker:
 
     def _subscribe(self) -> None:
         runtime = self.runtime
+        mark = self._mem_marked.add
         for m in runtime.cluster.machines:
-            m.memory.add_listener(self._note_change)
+            m.memory.add_listener(
+                lambda _memory, machine_id=m.id: mark(machine_id))
         runtime.locator.add_listener(self._note_change)
-        runtime.on_heap_change(self._note_change)
+        runtime.on_heap_change(lambda proclet: mark(proclet._machine.id))
         self._sched_rank = {}
         note = self._sched_changed.add
         for sched in self._schedulers():
@@ -146,7 +169,8 @@ class InvariantChecker:
         self._hooked += 1
 
     def _version(self) -> int:
-        # A sum of monotone counters moves iff one of them does.
+        # The structural group: a sum of monotone counters moves iff
+        # one of them does.
         runtime = self.runtime
         return (runtime.state_version + runtime.reshard_ledger.version
                 + self._hooked)
@@ -163,11 +187,19 @@ class InvariantChecker:
         if self._version() != self._derived_at:
             self.check()
             return
-        # Inputs of invariants 1, 2, 4-7 and 9 are unchanged since the
-        # last derivation, which passed.  Re-check only what moves
-        # without a write, in the full sweep's order so the first
-        # violation (and its message) is the one check() would report.
+        # Structural inputs are unchanged since the last derivation,
+        # which passed.  Re-derive invariant 2 where a DRAM-group write
+        # marked a machine, then what moves without a write, in the full
+        # sweep's order so the first violation (and its message) is the
+        # one check() would report.
         self.checks += 1
+        marked = self._mem_marked
+        if marked:
+            self.partial_derivations += 1
+            self._check_memory_conservation(
+                [m for m in self.runtime.cluster.machines
+                 if m.id in marked])
+            marked.clear()
         if self._sched_changed:
             self._check_fluid(sorted(self._sched_changed,
                                      key=self._sched_rank.__getitem__))
@@ -192,6 +224,7 @@ class InvariantChecker:
         self._check_clones()
         self._check_resharding()
         self._derived_at = version
+        self._mem_marked.clear()
 
     def _fail(self, what: str) -> None:
         raise InvariantViolation(
@@ -227,11 +260,14 @@ class InvariantChecker:
                 self._fail(f"live proclet {proclet.name} missing from "
                            f"locator")
 
-    def _check_memory_conservation(self) -> None:
+    def _check_memory_conservation(self, machines=None) -> None:
+        """Invariant 2 on *machines* (default: every machine)."""
         loc = self.runtime.locator
         migration = self.runtime.migration
         proclets = self.runtime._proclets
-        for m in self.runtime.cluster.machines:
+        if machines is None:
+            machines = self.runtime.cluster.machines
+        for m in machines:
             if not m.up:
                 if m.memory.used != 0.0:
                     self._fail(f"crashed {m.name} holds "

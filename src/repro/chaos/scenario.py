@@ -26,6 +26,8 @@ Fault tolerance comes in two flavors, selected by
 from __future__ import annotations
 
 import hashlib
+import os
+import traceback
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional
 
@@ -33,6 +35,7 @@ from ..cluster import ClusterSpec, MachineSpec, OutOfMemory
 from ..core import Quicksand, QuicksandConfig
 from ..runtime import MachineFailed, MigrationFailed, ProcletLost
 from ..runtime.errors import DeadProclet, InvalidPlacement
+from ..sim import simulator as _simulator
 from ..units import GiB, MiB
 from .faults import FaultSchedule, MachineCrash, RandomFaultPlan
 from .injector import ChaosInjector
@@ -110,9 +113,11 @@ class ChaosResult:
     autoscale_decisions: int = 0
     autoscale_sheds: int = 0
     # Full invariant re-derivations among ``invariant_checks`` (events
-    # whose inputs changed, plus the final sweep).  A cost figure, not
-    # behaviour, so it stays out of digest().
+    # whose structural inputs changed, plus the final sweep), and events
+    # that re-derived invariant 2 for DRAM-marked machines only.  Cost
+    # figures, not behaviour, so they stay out of digest().
     invariant_derivations: int = 0
+    invariant_partial_derivations: int = 0
     trace_lines: List[str] = field(repr=False, default_factory=list)
     counters: List[str] = field(repr=False, default_factory=list)
 
@@ -147,6 +152,7 @@ class ChaosResult:
             f"{self.migrations_failed} failed)",
             f"  invariant checks  : {self.invariant_checks} "
             f"({self.invariant_derivations} full derivations, "
+            f"{self.invariant_partial_derivations} DRAM-only, "
             f"oracle comparisons: {self.oracle_comparisons})",
         ]
         if self.config.recovery_policy is not None:
@@ -233,6 +239,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig()) -> ChaosResult:
         invariant_checks=checker.checks,
         oracle_comparisons=checker.oracle_comparisons,
         invariant_derivations=checker.derivations,
+        invariant_partial_derivations=checker.partial_derivations,
         migrations=qs.runtime.migration.migrations_completed,
         migrations_retried=qs.runtime.migration.migrations_retried,
         migrations_failed=qs.runtime.migration.migrations_failed,
@@ -284,6 +291,36 @@ def run_chaos_summary(**config_kwargs) -> dict:
         "autoscale_decisions": result.autoscale_decisions,
         "autoscale_sheds": result.autoscale_sheds,
     }
+
+
+def run_chaos_cell(**config_kwargs) -> dict:
+    """One seed-grid cell: :func:`run_chaos_summary`'s row, or, when the
+    run raises, a failure row — the seed, exception type, virtual time,
+    innermost frames and message — so the rest of the grid still runs.
+    """
+    sims = []
+    previous = _simulator.get_tracer_factory()
+
+    def record(sim):
+        sims.append(sim)
+        if previous is not None:
+            previous(sim)
+
+    _simulator.set_tracer_factory(record)
+    try:
+        return run_chaos_summary(**config_kwargs)
+    except Exception as exc:  # recorded as a failed cell
+        frames = traceback.extract_tb(exc.__traceback__)[-3:]
+        return {
+            "seed": config_kwargs.get("seed", ChaosConfig.seed),
+            "error": type(exc).__name__,
+            "virtual_time": sims[-1].now if sims else None,
+            "frames": [f"{os.path.basename(f.filename)}:{f.lineno} "
+                       f"{f.name}" for f in reversed(frames)],
+            "message": str(exc),
+        }
+    finally:
+        _simulator.set_tracer_factory(previous)
 
 
 class _Workload:

@@ -122,13 +122,14 @@ def _cmd_chaos(args) -> int:
 
 
 def _chaos_grid(args) -> int:
-    """Fan a grid of chaos seeds out through repro.exec."""
-    from .chaos import run_chaos_summary
+    """Fan a grid of chaos seeds out through repro.exec.  A cell that
+    raises is reported as a row; the grid then exits non-zero."""
+    from .chaos import run_chaos_cell
     from .exec import RunSpec, run_specs
 
     seeds = _parse_seeds(args.seeds)
     specs = [
-        RunSpec(run_chaos_summary,
+        RunSpec(run_chaos_cell,
                 {"seed": seed, "machines": args.machines,
                  "duration": args.duration, "oracle": args.oracle,
                  "invariant_stride": args.stride,
@@ -140,7 +141,14 @@ def _chaos_grid(args) -> int:
         for seed in seeds
     ]
     report = run_specs(specs, jobs=args.jobs, cache=args.cache_dir)
+    failed = [row for row in report.values() if "error" in row]
     for row in report.values():
+        if "error" in row:
+            now = row["virtual_time"]
+            print(f"seed {row['seed']:>4d}: FAILED {row['error']} at "
+                  f"t={'?' if now is None else f'{now:.6f}'}s in "
+                  f"{' <- '.join(row['frames'])}: {row['message']}")
+            continue
         print(f"seed {row['seed']:>4d}: digest {row['digest'][:16]}... "
               f"faults={row['injected']} crashes={row['machines_crashed']} "
               f"tasks={row['tasks_done']} checks={row['invariant_checks']}")
@@ -159,6 +167,10 @@ def _chaos_grid(args) -> int:
             return 1
         print(f"replay grid digest matches ({report.digest()[:16]}...): "
               f"{len(seeds)} seeds deterministic")
+    if failed:
+        print(f"CHAOS GRID FAILED: {len(failed)} of {len(seeds)} cells "
+              f"raised (seeds {', '.join(str(r['seed']) for r in failed)})")
+        return 1
     return _check_budget(wall, args.budget)
 
 

@@ -134,6 +134,34 @@ class TestCloneServicePins:
         assert _clone_digest(svc) == (
             "def3bff131db845486d7f508ab4100f7dabd722c5274b422f8e5c439723c0f68")
 
+    def test_crashed_clone_does_not_block_the_hedge(self, monkeypatch):
+        """Only a finished clone makes a hedge pointless: a hedge hop
+        whose set lost a clone to the crash, with none finished, still
+        launches the next clone instead of re-arming forever."""
+        from repro.apps import service
+
+        exposed = []
+        on_hop = service._CloneSet._on_hop
+
+        def audited_hop(clone_set, hop):
+            dones = [item.done for _server, item in clone_set.items]
+            blocked_before = (
+                any(d.triggered and not d.ok for d in dones)
+                and not any(d.triggered and d.ok for d in dones)
+                and not clone_set.budget_blocked
+                and clone_set.tried < len(clone_set.group))
+            tried = clone_set.tried
+            on_hop(clone_set, hop)
+            if blocked_before:
+                exposed.append(clone_set.tried - tried)
+
+        monkeypatch.setattr(service._CloneSet, "_on_hop", audited_hop)
+        svc = _clone_run(c=3, dist="det5", rate=600.0, hedge_after=1 * MS,
+                         fail_at=0.2, fail=(0,))
+        assert exposed and all(n == 1 for n in exposed)
+        assert _clone_digest(svc) == (
+            "190838a6380eb5fb78b591687ca47878132f52f900d138770176b8d253647fa7")
+
 
 class TestLatencyServicePins:
     # The same digest twice: strict priority hides the NORMAL filler

@@ -72,6 +72,24 @@ class TestEnableHook:
         assert m not in qs.runtime.reshard_ledger.structures()
         qs.run(until=qs.sim.now + 5 * MS)  # loop must not trip on it
 
+    def test_loop_failure_propagates_out_of_run(self):
+        """An unexpected error in a tick is a bug: it must stop the run
+        loudly, not end the detached control loop silently."""
+
+        class Broken:
+            name = "broken"
+
+            @property
+            def shards(self):
+                raise RuntimeError("shard table unreadable")
+
+        qs = make_auto_qs()
+        auto = qs.enable_autoscaler()
+        qs.runtime.reshard_ledger.track(Broken())
+        with pytest.raises(RuntimeError, match="shard table unreadable"):
+            qs.run(until=qs.sim.now + 5 * MS)
+        assert not auto._process.ok
+
 
 class TestSplitMergeDecisions:
     def test_oversized_shard_splits(self):
@@ -168,6 +186,33 @@ class TestSplitMergeDecisions:
         assert any(a == "split" and "route rate" in reason
                    for _, _, _, a, reason, _ in auto.decisions)
         assert m.shard_count > 1
+
+    def test_route_rate_ewma_updates_every_tick(self):
+        """With max_route_rate set, every shard's EWMA folds in every
+        tick, in band or not; without it, no estimator is kept."""
+        qs = make_auto_qs(max_shard_bytes=64 * MiB,
+                          min_shard_bytes=1 * KiB)
+        auto = qs.enable_autoscaler(AutoscaleConfig(max_route_rate=1e9))
+        m = qs.sharded_map(name="kv")
+        fill_map(qs, m, 4, item=2 * KiB)  # in the size band
+        pid = m.shards[0].ref.proclet_id
+        ticks = []
+        est = None
+        for _ in range(5):
+            qs.run(until_event=m.get("k0000"))
+            qs.run(until=qs.sim.now + auto.config.period)
+            est = auto._rates[pid]
+            ticks.append(est._last)
+        assert ticks == sorted(set(ticks))  # a new update each period
+        assert est.rate > 0.0
+
+        plain = make_auto_qs(max_shard_bytes=64 * MiB,
+                             min_shard_bytes=1 * KiB)
+        bytes_only = plain.enable_autoscaler()
+        pm = plain.sharded_map(name="kv")
+        fill_map(plain, pm, 4, item=2 * KiB)
+        plain.run(until=plain.sim.now + 5 * MS)
+        assert bytes_only._rates == {}
 
 
 class TestFaultPosture:
@@ -292,6 +337,10 @@ class TestPolicyParity:
         assert policy.undersized(16 * KiB, 32 * KiB)
         assert not policy.undersized(32 * KiB, 32 * KiB)
         assert policy.merge_fits(100 * KiB, 256 * KiB)
+        for heap in (16 * KiB, 32 * KiB, 100 * KiB, 256 * KiB, 300 * KiB):
+            assert policy.in_band(heap, 32 * KiB, 256 * KiB) == (
+                not policy.oversized(heap, 256 * KiB)
+                and not policy.undersized(heap, 32 * KiB))
         assert not policy.merge_fits(200 * KiB, 256 * KiB)  # 0.7 band
 
     def test_merge_fraction_blocks_ping_pong(self):

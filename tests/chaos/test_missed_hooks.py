@@ -1,13 +1,18 @@
 """Missed-hook differential test for the change-driven invariant checker.
 
-The checker's per-event path skips re-deriving invariants 1, 2, 4-7
-and 9 when no versioned mutator or subscribed listener reported a
-write since the last derivation.  That is exact only if *every* write
-to their inputs is reported.  This suite fingerprints those inputs
-after every event of real chaos runs and asserts that, whenever the
-checker skipped, the fingerprint did not move — and that the full
-sweep ``check()`` passes on that event too.  A new write to checked
-state that bypasses the versioned mutators fails here.
+The checker's per-event path splits the inputs of invariants 1, 2, 4-7
+and 9 into two groups.  A move in the *structural* group (the locator,
+``state_version``, the reshard ledger) runs the full derivation; a move
+in the *DRAM* group (memory ledgers and heap footprints) re-derives
+invariant 2 for the machines the writes marked; otherwise both are
+skipped.  That is exact only if *every* write to those inputs is
+reported, to the right group and for the right machine.  This suite
+fingerprints each group after every event of real chaos runs and
+asserts that, whenever the checker skipped a group, its fingerprint
+did not move — for the DRAM group, per machine not re-derived — and
+that the full sweep ``check()`` passes on that event too.  A new write
+to checked state that bypasses the versioned mutators and listeners
+fails here.
 """
 
 import pytest
@@ -18,9 +23,10 @@ from repro.chaos.invariants import InvariantChecker
 from repro.cluster import OutOfMemory
 
 
-def _fingerprint(runtime):
-    """Every input of the gated invariants, as comparable plain data
-    (objects without ``__eq__`` compare by identity)."""
+def _structural_fingerprint(runtime):
+    """Every input of the gated invariants outside the DRAM group, as
+    comparable plain data (objects without ``__eq__`` compare by
+    identity)."""
     loc = runtime.locator
     recovery = runtime.recovery
     migration = runtime.migration
@@ -29,7 +35,7 @@ def _fingerprint(runtime):
     for pid, p in runtime._proclets.items():
         d = p.__dict__
         gate = p._migration_gate
-        registry.append((pid, p, p._status, p._machine.id, p.footprint,
+        registry.append((pid, p, p._status, p._machine.id,
                          d.get("range_lo"), d.get("range_hi"),
                          d.get("shard_owner"), gate,
                          gate is not None and gate.triggered))
@@ -44,8 +50,7 @@ def _fingerprint(runtime):
               for pid, (dst, nbytes, inc) in migration._inflight.items()),
     ]
     for m in runtime.cluster.machines:
-        parts.append((m.up, m.incarnation, m.memory.used, m.memory.ballast,
-                      migration.inflight_reserved_on(m),
+        parts.append((migration.inflight_reserved_on(m),
                       recovery.reserved_on(m) if recovery else None))
     if recovery is not None:
         parts.append((
@@ -68,36 +73,66 @@ def _fingerprint(runtime):
     return tuple(parts)
 
 
+def _dram_fingerprint(runtime):
+    """The DRAM group per machine id: up flag, ledger, ballast and the
+    footprints of the proclets it hosts."""
+    footprints = {m.id: [] for m in runtime.cluster.machines}
+    for pid, p in runtime._proclets.items():
+        footprints[p._machine.id].append((pid, p.footprint))
+    return {m.id: (m.up, m.incarnation, m.memory.used, m.memory.ballast,
+                   tuple(footprints[m.id]))
+            for m in runtime.cluster.machines}
+
+
 class _AuditedChecker(InvariantChecker):
     """The chaos scenario's checker plus an observer, attached right
-    behind it, that audits every event the checker settled without a
-    full derivation."""
+    behind it, that audits every event on which the checker skipped an
+    input group."""
 
     last = None
 
     def attach(self, sim=None):
         super().attach(sim)
         self.audited = 0
-        self._fp = None
+        self.partial_audited = 0
+        self._structural = self._dram = None
+        self._rederived = set()
         self._seen_derivations = None
         (sim or self.runtime.sim).add_observer(self._audit)
         _AuditedChecker.last = self
         return self
 
+    def _check_memory_conservation(self, machines=None):
+        if machines is not None:  # a DRAM-only re-derivation
+            self._rederived.update(m.id for m in machines)
+        super()._check_memory_conservation(machines)
+
     def _audit(self, _sim):
-        fp = _fingerprint(self.runtime)
+        now = self.runtime.sim.now
+        structural = _structural_fingerprint(self.runtime)
+        dram = _dram_fingerprint(self.runtime)
         if self.derivations == self._seen_derivations:
-            if fp != self._fp:
-                moved = [i for i, (a, b) in enumerate(zip(self._fp, fp))
+            if structural != self._structural:
+                moved = [i for i, (a, b) in
+                         enumerate(zip(self._structural, structural))
                          if a != b]
                 raise AssertionError(
-                    f"t={self.runtime.sim.now:.6f}s: checked state moved "
-                    f"(fingerprint parts {moved}) but the checker skipped "
-                    f"re-derivation: a write bypassed the versioned "
-                    f"mutators")
+                    f"t={now:.6f}s: structural state moved (fingerprint "
+                    f"parts {moved}) but the checker skipped the full "
+                    f"derivation: a write bypassed the versioned mutators")
+            missed = sorted(mid for mid, fp in dram.items()
+                            if fp != self._dram[mid]
+                            and mid not in self._rederived)
+            if missed:
+                raise AssertionError(
+                    f"t={now:.6f}s: DRAM state of machines {missed} moved "
+                    f"but the checker did not re-derive invariant 2 there: "
+                    f"a write bypassed the memory and heap listeners")
             self.check()  # the full sweep must agree on this event
             self.audited += 1
-        self._fp = fp
+            self.partial_audited += bool(self._rederived)
+        self._structural, self._dram = structural, dram
+        self._rederived = set()
         self._seen_derivations = self.derivations
 
 
@@ -115,8 +150,10 @@ def _run(audited, **config):
     except (InvariantViolation, OutOfMemory) as exc:
         result, error = None, exc
     checker = audited.last
-    # The audit must actually have exercised skipped events.
+    # The audit must actually have exercised skipped events, including
+    # DRAM-only re-derivations.
     assert checker.audited > 0
+    assert checker.partial_audited > 0
     return result, error, checker.runtime.sim.now
 
 

@@ -55,7 +55,10 @@ class TestScenario:
         assert 0 < result.invariant_derivations < result.invariant_checks
         assert (f"({result.invariant_derivations} full derivations, "
                 in result.report())
-        other = dataclasses.replace(result, invariant_derivations=0)
+        assert (f"{result.invariant_partial_derivations} DRAM-only, "
+                in result.report())
+        other = dataclasses.replace(result, invariant_derivations=0,
+                                    invariant_partial_derivations=0)
         assert other.digest() == result.digest()
 
 
@@ -117,3 +120,23 @@ class TestChaosCli:
                    "--stride", "25"])
         assert rc == 0
         assert "invariant checks" in capsys.readouterr().out
+
+    def test_seed_grid_reports_a_failing_cell_and_finishes(self, capsys):
+        """A raising cell is a row (exception, virtual time, frames,
+        message); the other seeds still run and the grid exits 1."""
+        from repro.cli import main
+
+        rc = main(["chaos", "--seeds", "0-1", "--duration", "2.0",
+                   "--autoscale", "--recovery", "checkpoint"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        failed, passed = out.splitlines()[:2]
+        assert failed.startswith(
+            "seed    0: FAILED InvariantViolation at t=1.218345s in ")
+        assert "_check_memory_conservation" in failed
+        assert failed.endswith("m0 DRAM ledger 3862150936.4 B != "
+                               "3929765994.6 B (residents 2414685752.0 + "
+                               "ballast 0.0 + in-flight 0.0 + checkpoints "
+                               "1515080242.6)")
+        assert passed.startswith("seed    1: digest ")
+        assert "CHAOS GRID FAILED: 1 of 2 cells raised (seeds 0)" in out
